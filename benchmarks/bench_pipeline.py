@@ -143,7 +143,7 @@ def test_pipelined_throughput(report):
 
 
 # ------------------------------------------------------------------ resize latency
-def _resize_config(persistent: bool) -> CrossbowConfig:
+def _resize_config() -> CrossbowConfig:
     return CrossbowConfig(
         model_name="mlp",
         dataset_name="blobs",
@@ -159,16 +159,23 @@ def _resize_config(persistent: bool) -> CrossbowConfig:
         max_epochs=1,
         seed=7,
         execution="process",
-        persistent_pool=persistent,
         dataset_overrides={"num_train": 4096, "num_test": 128, "input_dim": 32},
         model_overrides={"input_dim": 32, "hidden_sizes": (64,)},
     )
 
 
 def _run_resize(persistent: bool) -> Dict[str, object]:
-    trainer = CrossbowTrainer(_resize_config(persistent))
+    trainer = CrossbowTrainer(_resize_config())
     try:
         executor = trainer._executor
+        if not persistent:
+            # Reference run: force the automatic respawn fallback (what a
+            # reallocated buffer or an augmented input path triggers).
+            def respawn(learners: object) -> str:
+                executor.invalidate()
+                return "respawn"
+
+            executor.resize = respawn
         trainer._apply_schedule(0)
         executor.begin_epoch(0)
         # Warm up: spawn the pool and run a few steady-state iterations.

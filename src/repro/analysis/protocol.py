@@ -5,9 +5,9 @@ so adding a protocol participant (a new shared state word, a new transition
 helper, a new worker entry point) is a one-line registry edit rather than a
 rule rewrite.  The defaults describe the repository's three protocols:
 
-* the evaluator pool's slot ring (``meta`` state words + ``stop_flag``,
-  guarded by the pool's cross-process lock, mutated only through the named
-  claim/publish/free helpers in :mod:`repro.serve.pool`);
+* the serving pools' slot ring (``meta`` state words + ``stop_flag``,
+  guarded by the ring's cross-process lock, mutated only through the named
+  claim/publish/free helpers of :class:`repro.serve.ring.SlotRing`);
 * the executor's fork/command protocol (worker entry functions
   ``*_worker_main``; queue-synchronised, so its matrices are deliberately
   *not* R1 state words — the dynamic sanitizer covers them instead);

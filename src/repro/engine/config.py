@@ -92,18 +92,16 @@ class CrossbowConfig(TrainerConfig):
       numeric trajectory differs from depth 0 while the synchronisation cost
       disappears from the critical path.
 
-    ``persistent_pool`` keeps the worker pool alive across auto-tuner
-    resizes: grow/shrink re-shards the surviving workers in place and forks
-    only newly added learners.  Disable to force the PR-2
-    stop-everything-and-respawn behaviour (the fallback also used when a
-    resize changes the shared buffers themselves or augmentation is on).
+    The worker pool stays alive across auto-tuner resizes: grow/shrink
+    re-shards the surviving workers in place and forks only newly added
+    learners.  A resize that changes the shared buffers themselves, or runs
+    with augmentation on, falls back to stop-everything-and-respawn.
     """
 
     replicas_per_gpu: int = 1
     execution: str = "serial"  # "serial", "process" or "auto" (probe-driven)
     pipeline_depth: int = 0  # 0 = synchronous, 1 = overlap sync with next gradients
     kernel_backend: str = "numpy"  # repro.tensor.backend provider name
-    persistent_pool: bool = True
     auto_tune: bool = False
     auto_tune_interval: int = 16  # iterations between throughput observations
     auto_tune_tolerance: float = 0.05

@@ -218,7 +218,7 @@ class CrossbowTrainer:
                     else None
                 ),
             )
-            self._executor = ProcessExecutor(shard_pipeline, persistent=config.persistent_pool)
+            self._executor = ProcessExecutor(shard_pipeline)
             self._bind_executor_buffers()
         else:
             self.replica_bank = ReplicaBank(num_parameters, capacity=max_learners)

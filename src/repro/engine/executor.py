@@ -653,14 +653,12 @@ class ProcessExecutor:
       the fused issue+collect used by ``pipeline_depth=0``.
     * **Persistent resize** — :meth:`resize` re-shards the live pool in place
       (see :meth:`WorkerPool.resize`) instead of stopping and respawning
-      every fork, unless persistence is disabled, augmentation state would
-      have to migrate across processes, or the shared buffers themselves were
-      reallocated.
+      every fork, unless augmentation state would have to migrate across
+      processes or the shared buffers themselves were reallocated.
     """
 
-    def __init__(self, pipeline: ShardedBatchPipeline, persistent: bool = True) -> None:
+    def __init__(self, pipeline: ShardedBatchPipeline) -> None:
         self.pipeline = pipeline
-        self.persistent = persistent
         self._pool: Optional[WorkerPool] = None
         self._spawned_for: Optional[Tuple] = None
         self._bank: Optional[ReplicaBank] = None
@@ -804,7 +802,7 @@ class ProcessExecutor:
     def resize(self, learners: Sequence[Learner]) -> str:
         """Adapt the executor to a new learner list after an auto-tuner resize.
 
-        Returns ``"in-place"`` when the persistent pool was re-sharded
+        Returns ``"in-place"`` when the live pool was re-sharded
         without a respawn, else ``"respawn"`` (the pool was invalidated and
         the next iteration re-forks it).  The caller must have re-packed the
         bank so ``learners[i]`` owns row ``i`` and quiesced any pipelined
@@ -822,8 +820,7 @@ class ProcessExecutor:
             return "respawn"
         signature = self._signature(len(learners))
         in_place_ok = (
-            self.persistent
-            and not self.pipeline.has_augmentation
+            not self.pipeline.has_augmentation
             and self._epoch is not None
             and self._order is not None
             and self._spawned_for is not None

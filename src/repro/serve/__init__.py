@@ -13,8 +13,10 @@ the *transactional write path* (training), the same split HTAP systems make:
   (process) that batch-evaluates queued checkpoints off the training loop and
   feeds accuracies back into the training metrics, with a ``drain()`` barrier
   that keeps fixed-seed results bit-identical to inline evaluation,
+* :mod:`repro.serve.ring` — the one shared-memory slot ring and forked-pool
+  lifecycle both worker pools below are payload adapters over,
 * :mod:`repro.serve.pool` — the scaling layer: :class:`EvaluatorPool` (N
-  forked workers claiming checkpoints from one shared-memory slot ring) and
+  forked workers claiming checkpoints from the slot ring) and
   :class:`BatchedEvaluator` (k checkpoint versions banked into a ``(k, P)``
   replica bank and evaluated in one fused forward — the serving-side analogue
   of ``SMA.step_matrix``),

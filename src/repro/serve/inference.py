@@ -70,6 +70,23 @@ class _Request:
     def size(self) -> int:
         return int(self.images.shape[0])
 
+    def fail(self, exc: BaseException) -> None:
+        """Fail the request's future — the one way a request resolves to an error.
+
+        The guard skips futures the caller already cancelled: setting an
+        exception on those would raise ``InvalidStateError`` out of whichever
+        unrelated code path happened to be failing the request.
+        """
+        if self.future.set_running_or_notify_cancel():
+            self.future.set_exception(exc)
+
+
+def _stack(batch: List[_Request]) -> np.ndarray:
+    """The batch's samples as one ``(n, ...)`` array (a lone request's own array)."""
+    if len(batch) == 1:
+        return batch[0].images
+    return np.concatenate([request.images for request in batch], axis=0)
+
 
 #: latency samples kept for percentile reporting (a rolling window, so a
 #: long-lived server's memory stays O(1) in the request count)
@@ -288,10 +305,7 @@ class InferenceServer:
             abandoned = list(self._pending)
             self._pending.clear()
         for request in abandoned:
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_exception(
-                    ConfigurationError("inference server stopped")
-                )
+            request.fail(ConfigurationError("inference server stopped"))
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -358,11 +372,8 @@ class InferenceServer:
                 )
             )
             return future
-        if shed is not None and shed.future.set_running_or_notify_cancel():
-            # The guard skips futures the caller already cancelled — setting
-            # an exception on those would raise InvalidStateError out of an
-            # unrelated client's submit().
-            shed.future.set_exception(
+        if shed is not None:
+            shed.fail(
                 AdmissionError(
                     "request shed: a newer request arrived at a full queue "
                     f"(max_queue_depth={self.max_queue_depth})"
@@ -400,10 +411,7 @@ class InferenceServer:
         if request.deadline is None or time.perf_counter() <= request.deadline:
             return False
         self.counters.deadline_missed += 1
-        if request.future.set_running_or_notify_cancel():
-            request.future.set_exception(
-                AdmissionError("request deadline passed before a forward pass started")
-            )
+        request.fail(AdmissionError("request deadline passed before a forward pass started"))
         return True
 
     # -- serving loop ------------------------------------------------------------------
@@ -454,28 +462,26 @@ class InferenceServer:
             else:
                 self._maybe_hot_swap()
             self._run_batch(batch)
-        if holdover is not None and holdover.future.set_running_or_notify_cancel():
-            holdover.future.set_exception(ConfigurationError("inference server stopped"))
+        if holdover is not None:
+            holdover.fail(ConfigurationError("inference server stopped"))
 
     def _run_batch(self, batch: List[_Request]) -> None:
-        recorder = get_recorder()
         try:
-            images = (
-                batch[0].images
-                if len(batch) == 1
-                else np.concatenate([request.images for request in batch], axis=0)
-            )
-            with recorder.span(
+            images = _stack(batch)
+            with get_recorder().span(
                 "serve.batch", requests=len(batch), samples=int(images.shape[0])
             ):
                 with no_grad():
                     logits = self.model(Tensor(images)).data
         except Exception as exc:  # noqa: BLE001 - fail the requests, not the loop
             for request in batch:
-                if not request.future.set_running_or_notify_cancel():
-                    continue
-                request.future.set_exception(exc)
+                request.fail(exc)
             return
+        self._deliver(batch, logits)
+
+    def _deliver(self, batch: List[_Request], logits: np.ndarray) -> None:
+        """Resolve each request with its rows of ``logits`` and account the batch."""
+        recorder = get_recorder()
         finished = time.perf_counter()
         offset = 0
         for request in batch:

@@ -6,12 +6,12 @@ faster than one worker can evaluate.  This module scales that plane two ways,
 both direct applications of the paper's many-replicas-one-bank design:
 
 * :class:`EvaluatorPool` — N forked evaluator workers consuming one shared
-  slot ring concurrently.  The parent publishes checkpoint parameter vectors
-  (and flattened batch-norm buffers) into free shared-memory slots; workers
-  *claim* READY slots through a per-slot state word in shared memory (a
-  claim-protocol scan under a cross-process lock, counted by two semaphores),
-  copy the slot out, free it immediately, and evaluate while the parent
-  refills the ring.  The arithmetic per checkpoint is exactly
+  slot ring concurrently (the ring protocol and the worker lifecycle live in
+  :mod:`repro.serve.ring`; the pool is a payload adapter over them).  The
+  parent publishes checkpoint parameter vectors (and flattened batch-norm
+  buffers) into free shared-memory slots; workers claim READY slots, copy
+  the slot out, free it immediately, and evaluate while the parent refills
+  the ring.  The arithmetic per checkpoint is exactly
   :func:`repro.nn.metrics.evaluate_top1` on the checkpoint's own parameters
   and buffers — the same code path as inline evaluation — so accuracies are
   bit-identical to inline for any worker count; only completion order varies.
@@ -31,25 +31,17 @@ both direct applications of the paper's many-replicas-one-bank design:
   over the data amortises the per-batch Python/framework overhead across the
   ``k`` versions, exactly as the fused synchronisation amortises it across
   replicas.
-
-Both pieces reuse the multi-process executor's machinery
-(:class:`~repro.engine.executor.ForkedWorkerPool`,
-:class:`~repro.engine.executor.SharedMatrix`) rather than growing a second
-fork/shutdown protocol.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
-import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.sanitizer import guard_for
-from repro.engine.executor import ForkedWorkerPool, SharedMatrix, _ProcessHandle
+from repro.engine.executor import SharedMatrix
 from repro.engine.replica import ReplicaBank
 from repro.errors import ConfigurationError, SchedulingError
 from repro.models.resnet import BasicBlock, BottleneckBlock, ResNet
@@ -70,156 +62,20 @@ from repro.nn.layers import (
 from repro.nn.metrics import evaluate_top1
 from repro.nn.module import Module, Sequential
 from repro.serve.checkpoint import Checkpoint
+from repro.serve.ring import _SLOT_EMPTY, RingPool  # noqa: F401 - re-export for tests
 from repro.telemetry.recorder import get_recorder
 from repro.tensor.backend import KernelBackend, resolve_backend
 from repro.tensor.functional import _im2col
-from repro.utils.logging import get_logger
-
-logger = get_logger("serve.pool")
-
-#: seconds the parent waits for one evaluation result / free slot before
-#: declaring the pool dead (matches the single-evaluator timeout of PR 3)
-_RESULT_TIMEOUT_S = 300.0
-
-# Per-slot claim-protocol states, stored in the shared ``(num_slots, 2)``
-# int64 meta matrix (column 0: state, column 1: ticket).  Transitions:
-# EMPTY -> FILLING (parent reserves, under the lock) -> READY (parent
-# published, under the lock) -> CLAIMED (one worker wins the claim scan,
-# under the lock) -> EMPTY (that worker copied the slot out).  The
-# ready/free semaphores count READY and EMPTY slots respectively, so neither
-# side spins while waiting.
-_SLOT_EMPTY = 0
-_SLOT_FILLING = 1
-_SLOT_READY = 2
-_SLOT_CLAIMED = 3
 
 
-@dataclass
-class _PoolWorkerState:
-    """Everything one evaluator worker needs; inherited via fork, never pickled."""
-
-    worker_id: int
-    model: Module
-    pipeline: Any  # duck-typed: .test_batches(batch_size)
-    batch_size: int
-    params: np.ndarray  # (num_slots, P) shared parameter ring
-    buffers: np.ndarray  # (num_slots, B) shared flattened-buffer ring
-    meta: np.ndarray  # (num_slots, 2) shared int64 [state, ticket]
-    stop_flag: np.ndarray  # (1, 1) shared int64, nonzero => exit
-    buffer_layout: List[Tuple[str, int, Tuple[int, ...]]]
-    lock: Any  # multiprocessing.Lock guarding every meta state transition
-    ready: Any  # multiprocessing.Semaphore counting READY slots
-    free: Any  # multiprocessing.Semaphore counting EMPTY slots
-    results: Any  # multiprocessing.Queue shared across workers
-
-
-class _ClaimableState(Protocol):
-    """What a worker state must expose for the claim scan (any slot-ring pool)."""
-
-    meta: np.ndarray
-    lock: Any
-
-
-def _claim_ready_slot(state: _ClaimableState) -> Optional[Tuple[int, int]]:
-    """READY -> CLAIMED edge: claim the READY slot with the lowest ticket.
-
-    Runs entirely under the cross-process lock, so exactly one worker wins
-    each slot even when several wake at once.  Returns ``(slot, ticket)``, or
-    ``None`` only in the shutdown race where the stop release beat a pending
-    publish.
-    """
-    with state.lock:
-        states = state.meta[:, 0]
-        ready = np.flatnonzero(states == _SLOT_READY)
-        if ready.size == 0:
-            return None
-        slot = int(ready[np.argmin(state.meta[ready, 1])])
-        ticket = int(state.meta[slot, 1])
-        state.meta[slot, 0] = _SLOT_CLAIMED
-        return slot, ticket
-
-
-# Each edge of the slot state machine exists exactly once, as a named helper
-# that asserts the edge it implements (the analyzer's R2 rule rejects raw
-# state-word assignments anywhere else).  All helpers take the whole meta
-# matrix plus the cross-process lock so both sides of the fork share them.
-def _reserve_empty_slot(meta: np.ndarray, lock: Any) -> int:
-    """EMPTY -> FILLING edge: reserve the lowest EMPTY slot (publish side)."""
-    with lock:
-        empty = np.flatnonzero(meta[:, 0] == _SLOT_EMPTY)
-        assert empty.size > 0, "free semaphore acquired but no EMPTY slot"
-        slot = int(empty[0])
-        meta[slot, 0] = _SLOT_FILLING
-        return slot
-
-
-def _publish_ready_slot(meta: np.ndarray, lock: Any, slot: int, ticket: int) -> None:
-    """FILLING -> READY edge: stamp the ticket and publish (publish side)."""
-    with lock:
-        assert meta[slot, 0] == _SLOT_FILLING, "publishing a slot never reserved"
-        meta[slot, 1] = ticket
-        meta[slot, 0] = _SLOT_READY
-
-
-def _abort_filling_slot(meta: np.ndarray, lock: Any, slot: int) -> None:
-    """FILLING -> EMPTY edge: roll back a failed publish (publish side)."""
-    with lock:
-        assert meta[slot, 0] == _SLOT_FILLING, "aborting a slot never reserved"
-        meta[slot, 0] = _SLOT_EMPTY
-
-
-def _free_claimed_slot(meta: np.ndarray, lock: Any, slot: int) -> None:
-    """CLAIMED -> EMPTY edge: release a copied-out slot (worker side)."""
-    with lock:
-        assert meta[slot, 0] == _SLOT_CLAIMED, "freeing a slot never claimed"
-        meta[slot, 0] = _SLOT_EMPTY
-
-
-def _pool_worker_main(state: _PoolWorkerState) -> None:
-    """Worker body: claim slots, copy them out, evaluate, repeat until stopped.
-
-    The slot is freed *before* the (slow) forward passes run — the copy into
-    the worker's private model is the only time the slot is held — so the
-    ring turns over at publish speed, not evaluation speed, and a small ring
-    keeps ``N`` workers busy.  Failures are forwarded as
-    ``(ticket, None, traceback)`` result payloads; the worker keeps serving
-    subsequent slots so one bad checkpoint doesn't idle the pool.
-    """
-    model = state.model
-    target_buffers = dict(model.named_buffers())
-    while True:
-        state.ready.acquire()
-        # The stop flag is a monotone 0->1 latch: a stale read only costs one
-        # extra loop turn, and the stop path re-releases `ready` per worker.
-        if state.stop_flag[0, 0]:  # repro: waive[R1] - monotone stop latch
-            return
-        ticket = -1
-        try:
-            claim = _claim_ready_slot(state)
-            if claim is None:  # pragma: no cover - shutdown race
-                continue
-            slot, ticket = claim
-            # Sanitized window: the claim made this worker the slot's only
-            # reader until it is freed; the parent must not be writing it.
-            with guard_for(state.params).read(slot), guard_for(state.buffers).read(slot):
-                model.load_parameter_vector(state.params[slot])
-                for name, offset, shape in state.buffer_layout:
-                    size = int(np.prod(shape, dtype=np.int64))
-                    target_buffers[name][...] = state.buffers[
-                        slot, offset : offset + size
-                    ].reshape(shape)
-            _free_claimed_slot(state.meta, state.lock, slot)
-            state.free.release()
-            accuracy = evaluate_top1(
-                model, state.pipeline.test_batches(batch_size=state.batch_size)
-            )
-            state.results.put((ticket, accuracy, None))
-        except Exception:  # noqa: BLE001 - forwarded to the parent verbatim
-            state.results.put((ticket, None, traceback.format_exc()))
-
-
-class EvaluatorPool(ForkedWorkerPool):
+class EvaluatorPool(RingPool):
     """N forked evaluator workers over one shared-memory checkpoint slot ring.
+
+    The ring protocol and the worker lifecycle are
+    :class:`~repro.serve.ring.RingPool`'s; this class adds only what is
+    evaluator-specific: the parameters + flattened-buffers slot payload, the
+    checkpoint validation, and result collection that *raises* on a worker
+    failure while re-buffering everything resolved alongside it.
 
     Parameters
     ----------
@@ -249,6 +105,12 @@ class EvaluatorPool(ForkedWorkerPool):
     checkpoints and returns accuracies in submission order.
     """
 
+    role = "evaluator"
+    publish_span = "pool.publish"
+    #: matches the single-evaluator timeout of PR 3 (a result is a whole
+    #: test-set pass)
+    result_timeout_s = 300.0
+
     def __init__(
         self,
         model_template: Module,
@@ -257,54 +119,38 @@ class EvaluatorPool(ForkedWorkerPool):
         num_slots: Optional[int] = None,
         batch_size: int = 256,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError("evaluator pool needs at least one worker")
-        num_slots = max(2 * workers, 4) if num_slots is None else num_slots
-        if num_slots < 1:
-            raise ConfigurationError("evaluator pool needs at least one shared slot")
-        super().__init__()
+        num_slots = self._check_sizes(workers, workers, num_slots)
         self.workers = workers
-        self.num_slots = num_slots
         self.batch_size = batch_size
-        self.in_flight = 0
         # Successful results dequeued in a collect() that then hit a worker
         # failure; delivered by the next collect() instead of being dropped.
         self._undelivered: List[Tuple[int, float]] = []
         model = model_template.clone()
         self.num_parameters = model.num_parameters()
-        layout: List[Tuple[str, int, Tuple[int, ...]]] = []
+        # (name, first column, last column, shape) of each buffer in a slot row
+        layout: List[Tuple[str, int, int, Tuple[int, ...]]] = []
         offset = 0
         for name, buf in model.named_buffers():
-            layout.append((name, offset, tuple(buf.shape)))
+            layout.append((name, offset, offset + int(buf.size), tuple(buf.shape)))
             offset += int(buf.size)
         self._buffer_layout = layout
         self._params = SharedMatrix(num_slots, self.num_parameters)
         self._buffers = SharedMatrix(num_slots, offset)
-        self._meta = SharedMatrix(num_slots, 2, dtype=np.int64)
-        self._stop_flag = SharedMatrix(1, 1, dtype=np.int64)
-        self._lock = self._ctx.Lock()
-        self._ready = self._ctx.Semaphore(0)
-        self._free = self._ctx.Semaphore(num_slots)
-        for worker_id in range(workers):
-            state = _PoolWorkerState(
-                worker_id=worker_id,
-                model=model,
-                pipeline=pipeline,
-                batch_size=batch_size,
-                params=self._params.array,
-                buffers=self._buffers.array,
-                meta=self._meta.array,
-                stop_flag=self._stop_flag.array,
-                buffer_layout=layout,
-                lock=self._lock,
-                ready=self._ready,
-                free=self._free,
-                results=self._results,
-            )
-            process = self._fork(
-                _pool_worker_main, state, name=f"evaluator-worker-{worker_id}"
-            )
-            self._handles.append(_ProcessHandle(process=process))
+        params, buffers = self._params.array, self._buffers.array
+        target_buffers = dict(model.named_buffers())
+
+        # The arithmetic per checkpoint is exactly evaluate_top1 on the
+        # checkpoint's own parameters and buffers — the same code path as
+        # inline evaluation.
+        def load(slot: int) -> None:
+            model.load_parameter_vector(params[slot])
+            for name, start, end, shape in layout:
+                target_buffers[name][...] = buffers[slot, start:end].reshape(shape)
+
+        def compute(_: None) -> float:
+            return evaluate_top1(model, pipeline.test_batches(batch_size=batch_size))
+
+        super().__init__([self._params, self._buffers], load, compute, workers, workers, num_slots)
 
     # -- publish side --------------------------------------------------------------------
     def submit(self, ticket: int, checkpoint: Checkpoint) -> None:
@@ -314,53 +160,25 @@ class EvaluatorPool(ForkedWorkerPool):
         surfaces as a :class:`~repro.errors.SchedulingError` instead of an
         indefinite block.
         """
-        if self._stopped:
-            raise ConfigurationError("evaluator pool is stopped")
         if checkpoint.num_parameters() != self.num_parameters:
             raise ConfigurationError(
                 f"checkpoint has {checkpoint.num_parameters()} parameters but the "
                 f"pool was built for {self.num_parameters}"
             )
-        missing = [
-            name
-            for name, _, _ in self._buffer_layout
-            if name not in checkpoint.buffers
-        ]
+        missing = [name for name, *_ in self._buffer_layout if name not in checkpoint.buffers]
         if missing:
             raise ConfigurationError(
                 f"checkpoint is missing buffer(s) {missing} required by the model"
             )
-        deadline = time.monotonic() + _RESULT_TIMEOUT_S
-        while not self._free.acquire(timeout=1.0):
-            dead = [p.name for p in self._processes() if not p.is_alive()]
-            if dead:
-                raise SchedulingError(
-                    f"evaluator worker(s) {dead} died while the slot ring was full"
-                )
-            if time.monotonic() > deadline:
-                raise SchedulingError("timed out waiting for a free evaluator slot")
-        with get_recorder().span("pool.publish"):
-            slot = _reserve_empty_slot(self._meta.array, self._lock)
-            try:
-                # Sanitized window: FILLING reservation makes the parent the
-                # slot's exclusive writer until publish or rollback.
-                with self._params.sanitizer.write(slot), self._buffers.sanitizer.write(slot):
-                    self._params.array[slot, :] = checkpoint.parameters
-                    for name, offset, shape in self._buffer_layout:
-                        size = int(np.prod(shape, dtype=np.int64))
-                        self._buffers.array[slot, offset : offset + size] = np.asarray(
-                            checkpoint.buffers[name], dtype=np.float32
-                        ).reshape(-1)
-            except Exception:
-                # Roll the reservation back (slot AND semaphore permit) so a
-                # bad checkpoint — e.g. a mis-shaped buffer — cannot shrink
-                # the ring.
-                _abort_filling_slot(self._meta.array, self._lock, slot)
-                self._free.release()
-                raise
-            _publish_ready_slot(self._meta.array, self._lock, slot, ticket)
-        self.in_flight += 1
-        self._ready.release()
+
+        def write(slot: int) -> None:
+            self._params.array[slot, :] = checkpoint.parameters
+            for name, start, end, _ in self._buffer_layout:
+                self._buffers.array[slot, start:end] = np.asarray(
+                    checkpoint.buffers[name], dtype=np.float32
+                ).reshape(-1)
+
+        self._publish(ticket, write)
 
     # -- result side ---------------------------------------------------------------------
     def collect(self, block: bool = False) -> List[Tuple[int, float]]:
@@ -376,18 +194,7 @@ class EvaluatorPool(ForkedWorkerPool):
         started = time.perf_counter()
         resolved = self._undelivered
         self._undelivered = []
-        while self.in_flight:
-            if block and not resolved:
-                payload = self._wait_result(
-                    time.monotonic() + _RESULT_TIMEOUT_S, what="an evaluation result"
-                )
-            else:
-                try:
-                    payload = self._results.get_nowait()
-                except queue_module.Empty:
-                    break
-            ticket, accuracy, error = payload
-            self.in_flight -= 1
+        for ticket, accuracy, error in self._payloads(block and not resolved):
             if error is not None:
                 self._undelivered = resolved  # returned by the next call
                 raise SchedulingError(f"evaluator worker failed:\n{error}")
@@ -436,30 +243,6 @@ class EvaluatorPool(ForkedWorkerPool):
             self.submit(ticket, checkpoint)
         accuracies: Dict[int, float] = dict(self.drain())
         return [accuracies[ticket] for ticket in range(len(checkpoints))]
-
-    # -- lifecycle -----------------------------------------------------------------------
-    def _request_stop(self) -> None:
-        # Workers block on the ready semaphore, not a command queue: raise the
-        # stop flag first, then wake every worker so each sees it and exits.
-        # The latch write takes the ring lock so it serialises with claim
-        # scans — a worker inside _claim_ready_slot observes either the old
-        # world (and evaluates one last slot) or the stop, never a torn mix.
-        with self._lock:
-            self._stop_flag.array[0, 0] = 1
-        for _ in self._handles:
-            self._ready.release()
-
-    def close(self) -> None:
-        """Stop the workers and release every shared segment (idempotent)."""
-        self.stop()
-        for shared in (self._params, self._buffers, self._meta, self._stop_flag):
-            shared.close()
-
-    def __enter__(self) -> "EvaluatorPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 # ------------------------------------------------------------------ batched evaluation

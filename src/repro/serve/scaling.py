@@ -9,22 +9,20 @@ front door, the pool scales the back end, and the resize protocol that
 already serves the training plane serves inference too.
 
 * :class:`InferencePool` — N forked inference workers over a request-tensor
-  slot ring.  The ring mirrors :class:`~repro.serve.pool.EvaluatorPool`'s
-  claim protocol exactly — the same ``(num_slots, 2)`` int64 meta matrix,
-  the same EMPTY/FILLING/READY/CLAIMED state machine, and literally the same
-  transition helpers imported from :mod:`repro.serve.pool` (the analyzer's
-  R2 rule keeps every state-word edge inside those five functions).  The
-  parent publishes flattened request tensors into free slots; workers claim
-  READY slots under the cross-process lock, copy them out, free the slot
-  before the (slow) forward pass, and send ``(ticket, logits)`` back on the
-  shared results queue.
+  slot ring.  The ring *is* :class:`~repro.serve.pool.EvaluatorPool`'s: one
+  :class:`~repro.serve.ring.SlotRing` protocol and one
+  :class:`~repro.serve.ring.RingPool` lifecycle serve both, and this pool
+  only says what a slot carries.  The parent publishes flattened request
+  tensors into free slots; workers claim READY slots under the cross-process
+  lock, copy them out, free the slot before the (slow) forward pass, and
+  send ``(ticket, logits)`` back on the shared results queue.
 
 * **Resize without respawn.** The pool pre-forks ``max_workers`` processes
   up front — before the serving threads exist, because forking a process
   that already runs threads is exactly the hazard the analyzer's R3 rule
-  rejects — and :meth:`InferencePool.resize` grows/shrinks the *active*
-  worker count in place by parking and resuming workers on a semaphore.
-  This is the serving-plane instantiation of the PR-4
+  rejects — and :meth:`~repro.serve.ring.RingPool.resize` grows/shrinks the
+  *active* worker count in place by parking and resuming workers on a
+  semaphore.  This is the serving-plane instantiation of the PR-4
   reshard-without-respawn protocol: survivors are untouched, nothing is
   respawned, and a resize costs zero forks and zero joins.
 
@@ -59,30 +57,21 @@ history CI and the report CLI read, not ad-hoc in-process state.
 from __future__ import annotations
 
 import itertools
-import queue as queue_module
 import sqlite3
 import threading
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import guard_for
 from repro.engine.autotuner import AutoTuner, AutoTunerDecision
-from repro.engine.executor import ForkedWorkerPool, SharedMatrix, _ProcessHandle
+from repro.engine.executor import SharedMatrix
 from repro.errors import ConfigurationError, SchedulingError
 from repro.nn.module import Module
 from repro.serve.checkpoint import Checkpoint
-from repro.serve.inference import InferenceServer, _Request
-from repro.serve.pool import (
-    _abort_filling_slot,
-    _claim_ready_slot,
-    _free_claimed_slot,
-    _publish_ready_slot,
-    _reserve_empty_slot,
-)
+from repro.serve.inference import InferenceServer, _Request, _stack
+from repro.serve.ring import RingPool
 from repro.telemetry.queries import load_signal
 from repro.telemetry.recorder import get_recorder
 from repro.tensor.tensor import Tensor, no_grad
@@ -90,84 +79,19 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serve.scaling")
 
-#: seconds the parent waits for one inference result / free slot before
-#: declaring the pool dead (shorter than the evaluator pool's bound: a
-#: single inference batch is milliseconds, not a test-set pass)
-_RESULT_TIMEOUT_S = 60.0
-
 #: one pool response: (ticket, logits, error-traceback-or-None)
 PoolResult = Tuple[int, Optional[np.ndarray], Optional[str]]
 
 
-@dataclass
-class _InferenceWorkerState:
-    """Everything one inference worker needs; inherited via fork, never pickled."""
-
-    worker_id: int
-    model: Module
-    sample_shape: Tuple[int, ...]
-    sample_size: int  # int(prod(sample_shape))
-    requests: np.ndarray  # (num_slots, max_batch_samples * sample_size) shared float32
-    sizes: np.ndarray  # (num_slots, 1) shared int64: samples published per slot
-    meta: np.ndarray  # (num_slots, 2) shared int64 [state, ticket]
-    stop_flag: np.ndarray  # (1, 1) shared int64, nonzero => exit
-    park_pending: np.ndarray  # (1, 1) shared int64: workers asked to deactivate
-    lock: Any  # multiprocessing.Lock guarding every meta state transition
-    ready: Any  # multiprocessing.Semaphore counting READY slots (+ wakeups)
-    free: Any  # multiprocessing.Semaphore counting EMPTY slots
-    resume: Any  # multiprocessing.Semaphore waking parked workers
-    results: Any  # multiprocessing.Queue shared across workers
-
-
-def _inference_worker_main(state: _InferenceWorkerState) -> None:
-    """Worker body: claim request slots, run the forward pass, repeat until stopped.
-
-    The slot is freed *before* the forward pass runs — exactly the
-    :func:`repro.serve.pool._pool_worker_main` discipline — so the ring turns
-    over at publish speed and a small ring keeps every active worker busy.
-    A worker woken while ``park_pending`` is raised deactivates instead of
-    claiming: it blocks on the ``resume`` semaphore until a grow (or stop)
-    wakes it, which is how :meth:`InferencePool.resize` changes capacity
-    without forking or joining anything.
-    """
-    model = state.model
-    while True:
-        state.ready.acquire()
-        with state.lock:
-            if state.stop_flag[0, 0]:
-                return
-            parked = state.park_pending[0, 0] > 0
-            if parked:
-                state.park_pending[0, 0] -= 1
-        if parked:
-            state.resume.acquire()
-            with state.lock:
-                if state.stop_flag[0, 0]:
-                    return
-            continue
-        ticket = -1
-        try:
-            claim = _claim_ready_slot(state)
-            if claim is None:  # pragma: no cover - shutdown/park wakeup race
-                continue
-            slot, ticket = claim
-            # Sanitized window: the claim made this worker the slot's only
-            # reader until it is freed; the parent must not be writing it.
-            with guard_for(state.requests).read(slot), guard_for(state.sizes).read(slot):
-                n = int(state.sizes[slot, 0])
-                flat = np.array(state.requests[slot, : n * state.sample_size], copy=True)
-            _free_claimed_slot(state.meta, state.lock, slot)
-            state.free.release()
-            images = flat.reshape((n,) + state.sample_shape)
-            with no_grad():
-                logits = model(Tensor(images)).data
-            state.results.put((ticket, np.asarray(logits), None))
-        except Exception:  # noqa: BLE001 - forwarded to the parent verbatim
-            state.results.put((ticket, None, traceback.format_exc()))
-
-
-class InferencePool(ForkedWorkerPool):
+class InferencePool(RingPool):
     """N forked inference workers over one shared-memory request slot ring.
+
+    The ring protocol and the worker lifecycle — pre-forking, blocking
+    publish, in-place :meth:`~repro.serve.ring.RingPool.resize`, crash-safe
+    :meth:`~repro.serve.ring.RingPool.terminate` — are
+    :class:`~repro.serve.ring.RingPool`'s; this class adds only the request
+    payload (a flattened batch plus its sample count per slot) and its
+    validation.
 
     Parameters
     ----------
@@ -180,17 +104,21 @@ class InferencePool(ForkedWorkerPool):
     workers : int
         Initially *active* worker processes.
     max_workers : int, optional
-        Worker processes forked up front (default: ``workers``).  All forks
-        happen at construction — before any serving thread exists — so
-        resizes never fork from a threaded process (the R3 fork-safety
-        hazard); :meth:`resize` moves the active count anywhere in
-        ``[1, max_workers]`` by parking/resuming workers in place.
+        Worker processes forked up front (default: ``workers``) — the
+        ceiling ``resize`` can grow the active count to, since forks only
+        happen at construction (see :class:`~repro.serve.ring.RingPool`).
     num_slots : int, optional
         Shared request slots; defaults to ``max(2 * max_workers, 4)``.
         :meth:`publish` blocks (backpressure) when every slot is occupied.
     max_batch_samples : int
         Widest batch one slot can carry (the front-end's ``max_batch_size``).
     """
+
+    role = "inference"
+    publish_span = "serve.pool_publish"
+    #: shorter than the evaluator pool's bound: a single inference batch is
+    #: milliseconds, not a test-set pass
+    result_timeout_s = 60.0
 
     def __init__(
         self,
@@ -202,60 +130,32 @@ class InferencePool(ForkedWorkerPool):
         max_batch_samples: int = 32,
     ) -> None:
         max_workers = workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ConfigurationError("inference pool needs at least one active worker")
-        if max_workers < workers:
-            raise ConfigurationError(
-                f"max_workers={max_workers} is below the initial workers={workers}"
-            )
+        num_slots = self._check_sizes(workers, max_workers, num_slots)
         if max_batch_samples < 1:
             raise ConfigurationError("max_batch_samples must be >= 1")
-        num_slots = max(2 * max_workers, 4) if num_slots is None else num_slots
-        if num_slots < 1:
-            raise ConfigurationError("inference pool needs at least one shared slot")
-        super().__init__()
-        self.num_slots = num_slots
         self.max_batch_samples = max_batch_samples
-        self.in_flight = 0
-        self._sample_shape = tuple(int(dim) for dim in sample_shape)
-        self._sample_size = int(np.prod(self._sample_shape, dtype=np.int64))
-        if self._sample_size < 1:
-            raise ConfigurationError(f"degenerate sample_shape {self._sample_shape}")
+        self._sample_shape = shape = tuple(int(dim) for dim in sample_shape)
+        self._sample_size = size = int(np.prod(shape, dtype=np.int64))
+        if size < 1:
+            raise ConfigurationError(f"degenerate sample_shape {shape}")
         model = model_template.clone()
         model.eval()
-        self._requests = SharedMatrix(num_slots, max_batch_samples * self._sample_size)
-        self._sizes = SharedMatrix(num_slots, 1, dtype=np.int64)
-        self._meta = SharedMatrix(num_slots, 2, dtype=np.int64)
-        self._stop_flag = SharedMatrix(1, 1, dtype=np.int64)
-        self._park_pending = SharedMatrix(1, 1, dtype=np.int64)
-        self._lock = self._ctx.Lock()
-        self._ready = self._ctx.Semaphore(0)
-        self._free = self._ctx.Semaphore(num_slots)
-        self._resume = self._ctx.Semaphore(0)
-        for worker_id in range(max_workers):
-            state = _InferenceWorkerState(
-                worker_id=worker_id,
-                model=model,
-                sample_shape=self._sample_shape,
-                sample_size=self._sample_size,
-                requests=self._requests.array,
-                sizes=self._sizes.array,
-                meta=self._meta.array,
-                stop_flag=self._stop_flag.array,
-                park_pending=self._park_pending.array,
-                lock=self._lock,
-                ready=self._ready,
-                free=self._free,
-                resume=self._resume,
-                results=self._results,
-            )
-            process = self._fork(
-                _inference_worker_main, state, name=f"inference-worker-{worker_id}"
-            )
-            self._handles.append(_ProcessHandle(process=process))
-        self._active = max_workers
-        if workers < max_workers:
-            self._apply_resize(workers)
+        self._requests = SharedMatrix(num_slots, max_batch_samples * size)
+        self._sizes = SharedMatrix(num_slots, 1, dtype=np.int64)  # samples published per slot
+        requests, sizes = self._requests.array, self._sizes.array
+
+        def load(slot: int) -> np.ndarray:
+            n = int(sizes[slot, 0])
+            flat = np.array(requests[slot, : n * size], copy=True)
+            return flat.reshape((n,) + shape)
+
+        def compute(images: np.ndarray) -> np.ndarray:
+            with no_grad():
+                return np.asarray(model(Tensor(images)).data)
+
+        super().__init__(
+            [self._requests, self._sizes], load, compute, workers, max_workers, num_slots
+        )
 
     # -- publish side --------------------------------------------------------------------
     def publish(self, ticket: int, images: np.ndarray) -> None:
@@ -265,8 +165,6 @@ class InferencePool(ForkedWorkerPool):
         surfaces as a :class:`~repro.errors.SchedulingError` instead of an
         indefinite block.
         """
-        if self._stopped:
-            raise ConfigurationError("inference pool is stopped")
         batch = np.ascontiguousarray(images, dtype=np.float32)
         if batch.ndim < 2 or tuple(batch.shape[1:]) != self._sample_shape:
             raise ConfigurationError(
@@ -277,30 +175,12 @@ class InferencePool(ForkedWorkerPool):
             raise ConfigurationError(
                 f"batch of {n} samples does not fit a slot of {self.max_batch_samples}"
             )
-        deadline = time.monotonic() + _RESULT_TIMEOUT_S
-        while not self._free.acquire(timeout=1.0):
-            dead = self.dead_workers()
-            if dead:
-                raise SchedulingError(
-                    f"inference worker(s) {dead} died while the request ring was full"
-                )
-            if time.monotonic() > deadline:
-                raise SchedulingError("timed out waiting for a free request slot")
-        with get_recorder().span("serve.pool_publish"):
-            slot = _reserve_empty_slot(self._meta.array, self._lock)
-            try:
-                # Sanitized window: FILLING reservation makes the parent the
-                # slot's exclusive writer until publish or rollback.
-                with self._requests.sanitizer.write(slot), self._sizes.sanitizer.write(slot):
-                    self._sizes.array[slot, 0] = n
-                    self._requests.array[slot, : n * self._sample_size] = batch.reshape(-1)
-            except Exception:
-                _abort_filling_slot(self._meta.array, self._lock, slot)
-                self._free.release()
-                raise
-            _publish_ready_slot(self._meta.array, self._lock, slot, ticket)
-        self.in_flight += 1
-        self._ready.release()
+
+        def write(slot: int) -> None:
+            self._sizes.array[slot, 0] = n
+            self._requests.array[slot, : n * self._sample_size] = batch.reshape(-1)
+
+        self._publish(ticket, write)
 
     # -- result side ---------------------------------------------------------------------
     def collect(self, block: bool = False) -> List[PoolResult]:
@@ -312,126 +192,7 @@ class InferencePool(ForkedWorkerPool):
         still raises :class:`~repro.errors.SchedulingError` when a worker
         died without reporting or the wait times out.
         """
-        payloads: List[PoolResult] = []
-        while self.in_flight:
-            if block and not payloads:
-                payload = self._wait_result(
-                    time.monotonic() + _RESULT_TIMEOUT_S, what="an inference result"
-                )
-            else:
-                try:
-                    payload = self._results.get_nowait()
-                except queue_module.Empty:
-                    break
-            self.in_flight -= 1
-            payloads.append(payload)
-        return payloads
-
-    # -- in-place resize -----------------------------------------------------------------
-    @property
-    def active_workers(self) -> int:
-        """Workers currently serving (the rest are parked, not terminated)."""
-        return self._active
-
-    def resize(self, target: int) -> int:
-        """Grow/shrink the active worker count in place; returns the new count.
-
-        Shrinking raises a shared ``park_pending`` counter under the ring
-        lock and wakes that many workers; each one decrements the counter
-        and blocks on the ``resume`` semaphore instead of claiming.  Growing
-        first cancels still-pending parks (atomically, under the same lock),
-        then resumes parked workers for the remainder.  No process is
-        forked, stopped or joined — the serving-plane analogue of the
-        training pool's reshard-without-respawn resize.
-        """
-        if self._stopped:
-            raise ConfigurationError("inference pool is stopped")
-        if not 1 <= target <= self.num_workers:
-            raise ConfigurationError(
-                f"resize target {target} outside [1, {self.num_workers}] "
-                "(max_workers is fixed at construction)"
-            )
-        if target == self._active:
-            return self._active
-        direction = "grow" if target > self._active else "shrink"
-        self._apply_resize(target)
-        get_recorder().counter(
-            "serve.pool_resize", 1.0, direction=direction, workers=target
-        )
-        logger.debug("resized inference pool to %d active workers (%s)", target, direction)
-        return self._active
-
-    def _apply_resize(self, target: int) -> None:
-        delta = target - self._active
-        if delta > 0:
-            with self._lock:
-                pending = int(self._park_pending.array[0, 0])
-                cancelled = min(delta, pending)
-                if cancelled:
-                    self._park_pending.array[0, 0] = pending - cancelled
-            for _ in range(delta - cancelled):
-                self._resume.release()
-        else:
-            with self._lock:
-                self._park_pending.array[0, 0] += -delta
-            for _ in range(-delta):
-                self._ready.release()
-        self._active = target
-
-    # -- lifecycle -----------------------------------------------------------------------
-    def dead_workers(self) -> List[str]:
-        """Names of worker processes that exited (parked workers stay alive)."""
-        return [p.name for p in self._processes() if not p.is_alive()]
-
-    def _request_stop(self) -> None:
-        # Raise the stop latch under the ring lock (serialising with claim
-        # scans), then wake every worker on both semaphores: active workers
-        # blocked on `ready` and parked workers blocked on `resume` each see
-        # the latch and exit.
-        with self._lock:
-            self._stop_flag.array[0, 0] = 1
-            self._park_pending.array[0, 0] = 0
-        for _ in self._handles:
-            self._ready.release()
-            self._resume.release()
-
-    def _close_segments(self) -> None:
-        for shared in (
-            self._requests,
-            self._sizes,
-            self._meta,
-            self._stop_flag,
-            self._park_pending,
-        ):
-            shared.close()
-
-    def close(self) -> None:
-        """Stop the workers and release every shared segment (idempotent)."""
-        self.stop()
-        self._close_segments()
-
-    def terminate(self) -> None:
-        """Forcible teardown that never touches the ring lock.
-
-        The cooperative :meth:`close` path acquires the cross-process lock to
-        raise the stop latch — which deadlocks if a worker was killed while
-        holding it.  Recovery after a worker death therefore terminates the
-        processes outright and releases the segments; the replacement pool
-        is a fresh construction.
-        """
-        self._stopped = True
-        for process in self._processes():
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-        self._results.close()
-        self._close_segments()
-
-    def __enter__(self) -> "InferencePool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        return list(self._payloads(block))
 
 
 class PooledInferenceServer(InferenceServer):
@@ -561,11 +322,7 @@ class PooledInferenceServer(InferenceServer):
             # the inherited in-process path serves exactly.
             super()._run_batch(batch)
             return
-        images = (
-            batch[0].images
-            if len(batch) == 1
-            else np.concatenate([request.images for request in batch], axis=0)
-        )
+        images = _stack(batch)
         ticket = next(self._tickets)
         try:
             try:
@@ -575,8 +332,7 @@ class PooledInferenceServer(InferenceServer):
                 self._pool.publish(ticket, images)
         except Exception as exc:  # noqa: BLE001 - fail the requests, not the loop
             for request in batch:
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(exc)
+                request.fail(exc)
             return
         self._inflight[ticket] = batch
 
@@ -604,8 +360,6 @@ class PooledInferenceServer(InferenceServer):
         return bool(payloads)
 
     def _resolve(self, payloads: List[PoolResult]) -> None:
-        recorder = get_recorder()
-        finished = time.perf_counter()
         for ticket, logits, error in payloads:
             batch = self._inflight.pop(ticket, None)
             if batch is None:
@@ -615,22 +369,17 @@ class PooledInferenceServer(InferenceServer):
             if error is not None or logits is None:
                 exc = SchedulingError(f"inference worker failed:\n{error}")
                 for request in batch:
-                    if request.future.set_running_or_notify_cancel():
-                        request.future.set_exception(exc)
+                    request.fail(exc)
                 continue
-            offset = 0
+            self._deliver(batch, logits)
+
+    def _fail_inflight(self, exc: BaseException) -> None:
+        """Fail every unresolved ticket's requests and empty the in-flight table."""
+        batches = list(self._inflight.values())
+        self._inflight.clear()
+        for batch in batches:
             for request in batch:
-                result = logits[offset : offset + request.size]
-                offset += request.size
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_result(result)
-                latency_ms = (finished - request.enqueued_at) * 1000.0
-                self.stats.latencies_ms.append(latency_ms)
-                if recorder.enabled:
-                    recorder.gauge("serve.latency_ms", latency_ms)
-                self.stats.requests += 1
-                self.stats.samples += request.size
-            self.stats.batches += 1
+                request.fail(exc)
 
     # -- failure recovery ----------------------------------------------------------------
     def _recover(self) -> None:
@@ -659,23 +408,13 @@ class PooledInferenceServer(InferenceServer):
             len(self._inflight),
         )
         for ticket, batch in list(self._inflight.items()):
-            images = (
-                batch[0].images
-                if len(batch) == 1
-                else np.concatenate([request.images for request in batch], axis=0)
-            )
-            self._pool.publish(ticket, images)
+            self._pool.publish(ticket, _stack(batch))
 
     def _handle_pool_failure(self) -> None:
         try:
             self._recover()
         except Exception as exc:  # noqa: BLE001 - surface through the futures
-            batches = list(self._inflight.values())
-            self._inflight.clear()
-            for batch in batches:
-                for request in batch:
-                    if request.future.set_running_or_notify_cancel():
-                        request.future.set_exception(exc)
+            self._fail_inflight(exc)
 
     # -- lifecycle (overrides) -----------------------------------------------------------
     def stop(self) -> None:
@@ -684,18 +423,12 @@ class PooledInferenceServer(InferenceServer):
         super().stop()
         if not was_running:
             return
-        deadline = time.monotonic() + _RESULT_TIMEOUT_S
+        deadline = time.monotonic() + InferencePool.result_timeout_s
         while self._inflight and time.monotonic() < deadline:
             if not self._drain(block=True):
                 break  # pool idle yet tickets unresolved: accounting is broken
         if self._inflight:
-            exc = SchedulingError("inference pool lost requests at shutdown")
-            batches = list(self._inflight.values())
-            self._inflight.clear()
-            for batch in batches:
-                for request in batch:
-                    if request.future.set_running_or_notify_cancel():
-                        request.future.set_exception(exc)
+            self._fail_inflight(SchedulingError("inference pool lost requests at shutdown"))
         self.stats.finished_at = time.perf_counter()
 
     def close(self) -> None:

@@ -23,9 +23,6 @@ implementation available on the host without the callers changing:
   (``np.matmul`` / ``np.einsum`` over a leading ``k`` axis) instead of ``k``
   separate calls.  Same floats: a batched GEMM applies the same
   multiply-accumulate per slice, which the provider test suite pins down.
-* ``numba`` — optional; auto-detected at import time and skipped cleanly when
-  the package is absent.  Overrides only elementwise fused kernels (never
-  reductions or GEMMs), so bit-identity is preserved by construction.
 
 Association-order-sensitive reductions (``corrections.sum(axis=0)``) live in
 exactly one place — :meth:`KernelBackend.column_sum` — which providers MUST
@@ -40,15 +37,11 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.logging import get_logger
-
-logger = get_logger("tensor.backend")
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "BlasBatchedBackend",
-    "NumbaBackend",
     "available_backends",
     "get_backend",
     "register_backend",
@@ -225,56 +218,6 @@ class BlasBatchedBackend(KernelBackend):
         return result
 
 
-class NumbaBackend(KernelBackend):
-    """Optional numba provider — elementwise fused kernels, JIT-compiled.
-
-    Only elementwise operations are overridden (fused correct-and-apply step,
-    ReLU); reductions and GEMMs stay on the shared reference path so summation
-    order — and therefore bit-identity — is preserved by construction.
-    Instantiating this class raises ``ImportError`` when numba is absent; the
-    registry only registers it when the import succeeds.
-    """
-
-    name = "numba"
-    description = "numba-JIT elementwise fused kernels (auto-detected, optional)"
-
-    def __init__(self) -> None:
-        from numba import njit  # raises ImportError when numba is absent
-
-        @njit(cache=True)
-        def _relu(act: np.ndarray, out: np.ndarray) -> None:  # pragma: no cover
-            flat_in = act.ravel()
-            flat_out = out.ravel()
-            for i in range(flat_in.size):
-                value = flat_in[i]
-                # same op chain as the reference: multiply by the comparison
-                flat_out[i] = value * (value > 0)
-
-        @njit(cache=True)
-        def _correction(
-            weights: np.ndarray, center: np.ndarray, coefficient: float, out: np.ndarray
-        ) -> None:  # pragma: no cover
-            rows, cols = weights.shape
-            for i in range(rows):
-                for j in range(cols):
-                    out[i, j] = coefficient * (weights[i, j] - center[j])
-
-        self._relu_kernel = _relu
-        self._correction_kernel = _correction
-
-    def correction_matrix(
-        self, weights: np.ndarray, center: np.ndarray, coefficient: float
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        out = np.empty_like(weights)
-        self._correction_kernel(weights, center.reshape(-1), float(coefficient), out)
-        return out
-
-    def relu(self, act: np.ndarray) -> np.ndarray:  # pragma: no cover - requires numba
-        out = np.empty_like(act)
-        self._relu_kernel(np.ascontiguousarray(act), out)
-        return out
-
-
 _REGISTRY: Dict[str, KernelBackend] = {}
 
 
@@ -306,17 +249,12 @@ def available_backends() -> List[str]:
 def get_backend(name: Optional[str] = None) -> KernelBackend:
     """Look up a provider by name; ``None`` returns the numpy reference.
 
-    Requesting ``"numba"`` when the package is absent falls back to the
-    reference provider with a log line (optional dependency, clean skip);
-    any other unknown name raises :class:`~repro.errors.ConfigurationError`.
+    An unknown name raises :class:`~repro.errors.ConfigurationError`.
     """
     key = name or DEFAULT_BACKEND
     backend = _REGISTRY.get(key)
     if backend is not None:
         return backend
-    if key == NumbaBackend.name:
-        logger.info("numba is not installed; kernel backend falls back to numpy reference")
-        return _REGISTRY[DEFAULT_BACKEND]
     raise ConfigurationError(
         f"unknown kernel backend {key!r}; available: {', '.join(available_backends())}"
     )
@@ -331,7 +269,3 @@ def resolve_backend(backend: Union[KernelBackend, str, None]) -> KernelBackend:
 
 register_backend(KernelBackend())
 register_backend(BlasBatchedBackend())
-try:  # optional provider: present only when numba is importable
-    register_backend(NumbaBackend())
-except ImportError:
-    logger.debug("numba not importable; 'numba' kernel backend not registered")

@@ -4,7 +4,7 @@ The backend contract is bit-identity: every registered provider must produce
 the exact floats of the ``numpy`` reference on the three dense hot paths
 (fused ``step_matrix``, gradient gather, batched evaluation forward).  These
 tests pin that contract down per provider and per operation, then cover the
-registry semantics (fallback when numba is absent, unknown names) and the
+registry semantics (unknown names, duplicate registration) and the
 ``execution="auto"`` calibration probe.
 """
 
@@ -29,13 +29,6 @@ from repro.tensor.backend import (
 from repro.telemetry.store import TelemetryStore
 from repro.utils.rng import RandomState
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    _HAS_NUMBA = True
-except ImportError:
-    _HAS_NUMBA = False
-
 PROVIDERS = available_backends()
 
 
@@ -57,12 +50,6 @@ class TestRegistry:
     def test_unknown_provider_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             get_backend("cublas")
-
-    @pytest.mark.skipif(_HAS_NUMBA, reason="numba is installed here")
-    def test_absent_numba_falls_back_to_reference(self):
-        fallback = get_backend("numba")
-        assert fallback.name == "numpy"
-        assert "numba" not in available_backends()
 
     def test_resolve_accepts_instances_and_names(self):
         instance = get_backend("blas_batched")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -35,8 +38,26 @@ def _config(**overrides):
     return CrossbowConfig(**defaults)
 
 
-def _final_state(config):
+def _respawn_on_resize(trainer):
+    """Make every resize take the automatic respawn fallback.
+
+    The fallback is what a reallocated shared buffer or an augmented input
+    path triggers by itself; forcing it gives the in-place resize a reference
+    run to be bit-compared against.
+    """
+    executor = trainer._executor
+
+    def resize(learners):
+        executor.invalidate()
+        return "respawn"
+
+    executor.resize = resize
+
+
+def _final_state(config, respawn_on_resize=False):
     trainer = CrossbowTrainer(config)
+    if respawn_on_resize:
+        _respawn_on_resize(trainer)
     try:
         result = trainer.train()
         return {
@@ -86,8 +107,8 @@ class TestDepthZeroIdentity:
         assert depth0["extra"]["overlapped_sync_seconds"] == 0.0
 
     def test_depth0_identical_with_and_without_persistent_pool(self):
-        persistent = _final_state(_config(pipeline_depth=0, persistent_pool=True))
-        respawned = _final_state(_config(pipeline_depth=0, persistent_pool=False))
+        persistent = _final_state(_config(pipeline_depth=0))
+        respawned = _final_state(_config(pipeline_depth=0), respawn_on_resize=True)
         np.testing.assert_array_equal(persistent["center"], respawned["center"])
         np.testing.assert_array_equal(persistent["weights"], respawned["weights"])
 
@@ -202,12 +223,17 @@ class TestPipelinedExecution:
             executor.issue_step(trainer.learners, 0, 0)
             pending_losses = executor.collect_step()
             assert np.isfinite(pending_losses).all()
-            # Second step in flight; kill a worker while the parent would be
-            # applying the first iteration's update into the back buffer.
+            # Freeze worker 0 before the second step is issued, then kill it:
+            # a running worker could post its loss before the signal lands,
+            # and collect_step would succeed.  The kill happens while the
+            # parent would be applying the first iteration's update into the
+            # back buffer.
+            victim = executor._pool._handles[0].process
+            os.kill(victim.pid, signal.SIGSTOP)
             executor.issue_step(trainer.learners, 0, 1)
-            pool = executor._pool
-            pool._handles[0].process.terminate()
-            pool._handles[0].process.join(timeout=10.0)
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
             with pytest.raises(SchedulingError, match="died without reporting"):
                 executor.collect_step()
         finally:
@@ -232,8 +258,8 @@ class TestPersistentPool:
 
     def test_persistent_resize_matches_respawn_bitwise(self):
         """In-place re-sharding must be numerically invisible."""
-        persistent = _final_state(self._autotune_config(persistent_pool=True))
-        respawned = _final_state(self._autotune_config(persistent_pool=False))
+        persistent = _final_state(self._autotune_config())
+        respawned = _final_state(self._autotune_config(), respawn_on_resize=True)
         np.testing.assert_array_equal(persistent["center"], respawned["center"])
         np.testing.assert_array_equal(persistent["weights"], respawned["weights"])
         assert persistent["accuracy"] == respawned["accuracy"]
@@ -246,9 +272,7 @@ class TestPersistentPool:
     def test_persistent_resize_keeps_pool_object(self):
         # Headroom above what the tuner reaches, so the manual grow below
         # stays within the pre-allocated bank (no generation bump).
-        trainer = CrossbowTrainer(
-            self._autotune_config(persistent_pool=True, max_replicas_per_gpu=8)
-        )
+        trainer = CrossbowTrainer(self._autotune_config(max_replicas_per_gpu=8))
         try:
             trainer.train()
             executor = trainer._executor
@@ -289,11 +313,12 @@ class TestPersistentPool:
                     max_epochs=2,
                     seed=11,
                     execution="process",
-                    persistent_pool=persistent,
                     dataset_overrides={"num_train": 128, "num_test": 32},
                     model_overrides={"width_multiplier": 0.25, "blocks_per_stage": 1},
                 )
             )
+            if not persistent:
+                _respawn_on_resize(trainer)
             try:
                 trainer.train()
                 model = trainer.central_model()

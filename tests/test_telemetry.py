@@ -567,14 +567,6 @@ class TestTrajectoryGate:
         out = capsys.readouterr().out
         assert "no point baseline; skipping" in out
 
-    def test_point_baseline_mode_unchanged(self, gate, capsys):
-        gate.write(gate.summary, 70.0)
-        gate.write(gate.baseline, 100.0)
-        assert self._run(gate, "--point-baseline") == 1
-        assert "below baseline" in capsys.readouterr().err
-        gate.write(gate.summary, 80.0)
-        assert self._run(gate, "--point-baseline") == 0
-
 
 # ---------------------------------------------------------------- bridges
 class TestBridges:

@@ -1,39 +1,33 @@
 #!/usr/bin/env python
-"""Gate CI on benchmark throughput: trajectory-over-last-N-runs, or a point baseline.
+"""Gate CI on benchmark throughput against each metric's trajectory over its last N runs.
 
 ``record_bench_summary`` merges every benchmark's rows into
 ``benchmarks/results/BENCH_summary.json`` per run (and dual-writes them into
 the telemetry store); this tool fails (exit 1) when any tracked throughput
 metric regressed by more than ``--max-regression`` (default 25%).
 
-Two gating modes:
+Each tracked metric is compared against the *median of its own last-N prior
+runs* in the telemetry store (``benchmarks/results/telemetry.sqlite``,
+accumulated by the benches' dual-writes).  A median over history is robust to
+one lucky or noisy baseline measurement, and a slow monotone drift is caught
+the moment the median crosses the threshold rather than never.  Metrics with
+fewer than ``--min-runs`` prior runs fall back to the committed point baseline
+(``benchmarks/results/BENCH_baseline.json``) for that metric, so a fresh
+checkout — CI's first run — still gates.  Set ``REPRO_RUN_ID`` to the id the
+benches ran under so the run being gated is excluded from its own history
+window.
 
-* **trajectory** (the default): each tracked metric is compared against the
-  *median of its own last-N prior runs* in the telemetry store
-  (``benchmarks/results/telemetry.sqlite``, accumulated by the benches'
-  dual-writes).  A median over history is robust to one lucky or noisy
-  baseline measurement, and a slow monotone drift is caught the moment the
-  median crosses the threshold rather than never.  Metrics with fewer than
-  ``--min-runs`` prior runs fall back to the committed point baseline for
-  that metric (so a fresh checkout — CI's first run — still gates).  Set
-  ``REPRO_RUN_ID`` to the id the benches ran under so the run being gated is
-  excluded from its own history window.
-* **point** (``--point-baseline``): the pre-trajectory behaviour — compare
-  against the checked-in ``benchmarks/results/BENCH_baseline.json`` only.
-
-What is tracked is derived, not hand-listed: rows are paired by position
-(benches emit rows in deterministic order; string-identity columns such as
-``mode`` are cross-checked and a mismatched pairing is skipped with a
-warning), and every numeric column whose name matches
-``throughput``/``*_per_s`` is gated.  Entries only one side has are skipped
-— each CI job runs its own subset of benches — and faster-than-baseline is
-always fine: the gate only catches regressions, so history recorded on
-modest hardware still guards runs on faster machines.
+What is tracked is derived, not hand-listed: rows are addressed by position
+(benches emit rows in deterministic order), and every numeric column whose
+name matches ``throughput``/``*_per_s`` is gated.  Metrics with neither
+history nor a baseline value are skipped — each CI job runs its own subset of
+benches — and faster-than-reference is always fine: the gate only catches
+regressions, so history recorded on modest hardware still guards runs on
+faster machines.
 
 Usage:
 
     PYTHONPATH=src python tools/check_bench_regression.py
-    PYTHONPATH=src python tools/check_bench_regression.py --point-baseline
     PYTHONPATH=src python tools/check_bench_regression.py --max-regression 0.4
     PYTHONPATH=src python tools/check_bench_regression.py --write-baseline
 
@@ -52,7 +46,7 @@ import shutil
 import statistics
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SUMMARY = REPO_ROOT / "benchmarks" / "results" / "BENCH_summary.json"
@@ -74,61 +68,6 @@ def load_entries(path: Path) -> Dict[str, List[Dict[str, object]]]:
     return {
         name: rows for name, rows in entries.items() if isinstance(rows, list)
     }
-
-
-def _identity(row: Dict[str, object]) -> Dict[str, object]:
-    """The row's identity columns: strings/bools only.
-
-    Numeric columns are measurements (they vary run to run), so identity is
-    anchored on categorical columns like ``mode``/``model``; rows are paired
-    positionally and benches emit rows in deterministic order, making this a
-    safety net against a bench re-ordering its output, not a join key.
-    """
-    return {
-        key: value
-        for key, value in row.items()
-        if not THROUGHPUT_RE.search(key) and isinstance(value, (str, bool))
-    }
-
-
-def compare_rows(
-    entry: str,
-    index: int,
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    max_regression: float,
-) -> Tuple[List[str], List[str], int]:
-    """Returns (failures, warnings, gated_metric_count) for one row pair."""
-    failures: List[str] = []
-    warnings: List[str] = []
-    current_id, baseline_id = _identity(current), _identity(baseline)
-    shared_id = set(current_id) & set(baseline_id)
-    if any(current_id[key] != baseline_id[key] for key in shared_id):
-        warnings.append(
-            f"{entry}[{index}]: row identity changed "
-            f"({ {k: baseline_id[k] for k in sorted(shared_id)} } -> "
-            f"{ {k: current_id[k] for k in sorted(shared_id)} }); skipping"
-        )
-        return failures, warnings, 0
-    gated = 0
-    for key, base_value in baseline.items():
-        if not THROUGHPUT_RE.search(key):
-            continue
-        if not isinstance(base_value, (int, float)) or isinstance(base_value, bool):
-            continue
-        value = current.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            warnings.append(f"{entry}[{index}].{key}: missing in current run; skipping")
-            continue
-        gated += 1
-        floor = base_value * (1.0 - max_regression)
-        if value < floor:
-            failures.append(
-                f"{entry}[{index}].{key}: {value:g} is "
-                f"{(1 - value / base_value) * 100:.1f}% below baseline "
-                f"{base_value:g} (allowed {max_regression * 100:.0f}%)"
-            )
-    return failures, warnings, gated
 
 
 def check_trajectory(
@@ -197,7 +136,7 @@ def check_trajectory(
     for warning in warnings:
         print(f"warning: {warning}")
     if failures:
-        print("\nTHROUGHPUT REGRESSIONS (trajectory mode):", file=sys.stderr)
+        print("\nTHROUGHPUT REGRESSIONS:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
@@ -205,47 +144,6 @@ def check_trajectory(
         f"ok: {gated} throughput metric(s) within {max_regression * 100:.0f}% of "
         f"their trajectory ({from_history} gated on run history in {db_path.name}, "
         f"{from_baseline} on the point baseline)"
-    )
-    return 0
-
-
-def check(
-    summary_path: Path, baseline_path: Path, max_regression: float
-) -> int:
-    current_entries = load_entries(summary_path)
-    baseline_entries = load_entries(baseline_path)
-    shared = sorted(set(current_entries) & set(baseline_entries))
-    skipped = sorted(set(baseline_entries) - set(current_entries))
-    failures: List[str] = []
-    warnings: List[str] = []
-    gated = 0
-    for entry in shared:
-        current_rows = current_entries[entry]
-        baseline_rows = baseline_entries[entry]
-        if len(current_rows) != len(baseline_rows):
-            warnings.append(
-                f"{entry}: row count changed ({len(baseline_rows)} -> "
-                f"{len(current_rows)}); comparing the common prefix"
-            )
-        for index, (current, baseline) in enumerate(zip(current_rows, baseline_rows)):
-            row_failures, row_warnings, row_gated = compare_rows(
-                entry, index, current, baseline, max_regression
-            )
-            failures.extend(row_failures)
-            warnings.extend(row_warnings)
-            gated += row_gated
-    for warning in warnings:
-        print(f"warning: {warning}")
-    if skipped:
-        print(f"skipped (not in this run): {', '.join(skipped)}")
-    if failures:
-        print("\nTHROUGHPUT REGRESSIONS:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"ok: {gated} throughput metric(s) across {len(shared)} benchmark(s) "
-        f"within {max_regression * 100:.0f}% of baseline"
     )
     return 0
 
@@ -266,28 +164,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="snapshot the current summary as the new baseline and exit",
     )
     parser.add_argument(
-        "--point-baseline",
-        action="store_true",
-        help="gate against BENCH_baseline.json only (pre-trajectory behaviour)",
-    )
-    parser.add_argument(
         "--db",
         type=Path,
         default=None,
-        help="telemetry store for trajectory mode (default: "
+        help="telemetry store holding the run history (default: "
         "benchmarks/results/telemetry.sqlite, or REPRO_TELEMETRY_DB)",
     )
     parser.add_argument(
         "--window",
         type=int,
         default=5,
-        help="trajectory mode: prior runs in the rolling window (default 5)",
+        help="prior runs in the rolling window (default 5)",
     )
     parser.add_argument(
         "--min-runs",
         type=int,
         default=2,
-        help="trajectory mode: prior runs required before the history median "
+        help="prior runs required before the history median "
         "replaces the point baseline (default 2)",
     )
     args = parser.parse_args(argv)
@@ -301,26 +194,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         shutil.copyfile(args.summary, args.baseline)
         print(f"baseline written: {args.baseline}")
         return 0
-    if not args.point_baseline:
-        db = args.db
-        if db is None:
-            db = Path(os.environ.get("REPRO_TELEMETRY_DB", DEFAULT_DB))
-        return check_trajectory(
-            args.summary,
-            args.baseline,
-            db,
-            args.max_regression,
-            window=args.window,
-            min_runs=args.min_runs,
-        )
-    if not args.baseline.exists():
-        print(
-            f"error: no baseline at {args.baseline}; create one with "
-            "--write-baseline and commit it",
-            file=sys.stderr,
-        )
-        return 1
-    return check(args.summary, args.baseline, args.max_regression)
+    db = args.db
+    if db is None:
+        db = Path(os.environ.get("REPRO_TELEMETRY_DB", DEFAULT_DB))
+    return check_trajectory(
+        args.summary,
+        args.baseline,
+        db,
+        args.max_regression,
+        window=args.window,
+        min_runs=args.min_runs,
+    )
 
 
 if __name__ == "__main__":
