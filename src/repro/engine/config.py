@@ -73,11 +73,6 @@ class CrossbowConfig(TrainerConfig):
       always resolves to ``"serial"`` — process mode there measures ~0.82x
       serial throughput (the `multiprocess_throughput` trajectory caveat).
 
-    ``kernel_backend`` names the :mod:`repro.tensor.backend` provider used
-    for the dense ``(k, P)`` arithmetic (fused ``step_matrix``, gradient
-    gather).  All registered providers are bit-identical to the ``"numpy"``
-    reference, so this changes speed only, never the trajectory.
-
     ``pipeline_depth`` (process mode only) selects the synchronisation
     schedule:
 
@@ -101,7 +96,6 @@ class CrossbowConfig(TrainerConfig):
     replicas_per_gpu: int = 1
     execution: str = "serial"  # "serial", "process" or "auto" (probe-driven)
     pipeline_depth: int = 0  # 0 = synchronous, 1 = overlap sync with next gradients
-    kernel_backend: str = "numpy"  # repro.tensor.backend provider name
     auto_tune: bool = False
     auto_tune_interval: int = 16  # iterations between throughput observations
     auto_tune_tolerance: float = 0.05

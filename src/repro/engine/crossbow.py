@@ -114,8 +114,8 @@ class CrossbowTrainer:
             config = resolve_auto_execution(config)
         self.config = config
         #: kernel provider for the dense (k, P) hot paths (fused step_matrix,
-        #: gradient gather); all registered providers are bit-identical.
-        self.backend = get_backend(config.kernel_backend)
+        #: gradient gather): the reference — no provider overrides an op routed here.
+        self.backend = get_backend()
         self.rng = RandomState(config.seed, name="crossbow")
 
         # Data substrate -------------------------------------------------------------

@@ -6,12 +6,12 @@ workers.  The real :class:`~repro.serve.inference.InferenceServer` cannot give
 that: it batches against the wall clock, so thread scheduling decides which
 requests coalesce.  The harness therefore has two replay planes:
 
-* :func:`simulate` — a discrete-event simulation in *virtual time* that
-  mirrors the server's admission, deadline and coalescing rules decision for
-  decision (same policy branches, same ``ServeCounters``), with a
-  :class:`ServiceModel` standing in for the forward pass and ``workers``
-  parallel serving lanes standing in for replicated servers.  Deterministic
-  by construction: arrivals come from a seed-threaded
+* :func:`simulate` — a discrete-event simulation in *virtual time* driving the
+  server's own :class:`~repro.serve.batching.BatchingCore` (the one statement
+  of the admission, deadline and coalescing rules, same ``ServeCounters``),
+  with a :class:`ServiceModel` standing in for the forward pass and
+  ``workers`` parallel serving lanes standing in for replicated servers.
+  Deterministic by construction: arrivals come from a seed-threaded
   :class:`~repro.scenarios.traces.Trace` and time only advances through the
   event heap.  This is what :meth:`ScenarioRunner.sweep` fans out and what
   the CI regression gate pins.
@@ -20,15 +20,6 @@ requests coalesce.  The harness therefore has two replay planes:
   ``EvaluationService`` worker pool, for integration coverage (conservation
   still holds exactly; latencies and batch compositions do not) and for
   fault-injection scenarios that need real processes to kill.
-
-Mirrored semantics (see ``repro.serve.inference`` for the originals): admission
-happens at submit time (``reject`` refuses at depth >= bound; ``shed-oldest``
-drops the oldest queued request, then admits; ``degrade`` admits everything
-but serves without coalescing waits while overloaded); deadlines are checked
-when a request is popped for a batch, not while it waits; a batch closes when
-it reaches ``max_batch_size`` samples or the *first* request's
-``max_latency_ms`` window expires; a request that would overflow the batch
-starts the next one.
 """
 
 from __future__ import annotations
@@ -44,10 +35,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AdmissionError, ConfigurationError, SchedulingError
-from repro.scenarios.slo import SLOReport, SLOSpec
+from repro.scenarios.slo import SLOReport, SLOSpec, counters_row
 from repro.scenarios.sweep import expand_grid, fan
 from repro.scenarios.traces import Trace
-from repro.serve.inference import _ADMISSION_POLICIES, InferenceServer, ServeCounters
+from repro.serve.batching import BatchingCore, ServeCounters
+from repro.serve.inference import InferenceServer
 from repro.telemetry.recorder import get_recorder
 
 __all__ = [
@@ -66,7 +58,7 @@ class ServiceModel:
     ``batch_ms(n) = batch_overhead_ms + per_sample_ms * n`` — an affine model
     with a fixed per-call overhead, which is exactly the shape that makes
     micro-batching pay (the overhead amortises across coalesced requests,
-    mirroring the single-learner-large-batch argument on the training side).
+    echoing the single-learner-large-batch argument on the training side).
     """
 
     batch_overhead_ms: float = 1.0
@@ -88,8 +80,9 @@ class Scenario:
 
     Plain frozen data (trace, knobs, cost model, optional SLO, seed) so a
     sweep's scenario list pickles cleanly into :func:`~repro.scenarios.sweep.fan`
-    worker processes.  Validation mirrors ``InferenceServer.__init__`` so a
-    scenario that simulates is also one the live server would accept.
+    worker processes.  The four serving knobs are validated by the one
+    constructor the live server also goes through, so a scenario that
+    simulates is also one the live server would accept.
     """
 
     trace: Trace
@@ -104,25 +97,17 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.admission_policy not in _ADMISSION_POLICIES:
-            raise ConfigurationError(
-                f"admission_policy must be one of {_ADMISSION_POLICIES}, "
-                f"got {self.admission_policy!r}"
-            )
-        if self.admission_policy != "none" and (
-            self.max_queue_depth is None or self.max_queue_depth < 1
-        ):
-            raise ConfigurationError(
-                f"admission_policy={self.admission_policy!r} needs max_queue_depth >= 1"
-            )
+        self.batching_core()  # built and dropped: its constructor validates the four knobs
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ConfigurationError("deadline_ms must be positive")
         if self.workers < 1:
             raise ConfigurationError("scenario needs >= 1 worker lane")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.max_latency_ms < 0:
-            raise ConfigurationError("max_latency_ms must be >= 0")
+
+    def batching_core(self) -> BatchingCore[_SimRequest]:
+        """A fresh core under this scenario's knobs (raises on invalid ones)."""
+        return BatchingCore(
+            self.max_batch_size, self.max_latency_ms, self.admission_policy, self.max_queue_depth
+        )
 
     @property
     def label(self) -> str:
@@ -137,8 +122,8 @@ class Scenario:
 class _SimRequest:
     """One in-flight request inside the simulation."""
 
-    arrived: float
-    samples: int
+    enqueued_at: float  # virtual arrival instant
+    size: int  # samples
     deadline: Optional[float]  # absolute virtual instant; None = no deadline
     client: int = -1  # closed-loop client index; -1 = open-loop
     index: int = 0  # closed-loop per-client request ordinal
@@ -234,18 +219,14 @@ def simulate(scenario: Scenario) -> ScenarioResult:
 
     A single event heap drives three event kinds: request arrivals (fixed up
     front for open-loop traces, completion-driven for closed loops), serving
-    lanes freeing up, and coalescing-window wake-ups.  All serving decisions
-    mirror ``InferenceServer``'s; see the module docstring for the mapping.
+    lanes freeing up, and coalescing-window wake-ups.  Every serving decision
+    is the scenario's :class:`~repro.serve.batching.BatchingCore`'s; this
+    function only owns virtual time, the lanes and the clients around it.
     """
     trace = scenario.trace
-    policy = scenario.admission_policy
-    bound = scenario.max_queue_depth or 0
     deadline_s = None if scenario.deadline_ms is None else scenario.deadline_ms / 1000.0
-    window_s = scenario.max_latency_ms / 1000.0
 
-    counters = ServeCounters()
-    queue: Deque[_SimRequest] = deque()
-    queued_samples = 0
+    core = scenario.batching_core()
     idle_lanes = list(range(scenario.workers))
     events: List[Tuple[float, int, int, Any]] = []
     sequence = itertools.count()
@@ -257,31 +238,21 @@ def simulate(scenario: Scenario) -> ScenarioResult:
     def push(at: float, kind: int, payload: Any = None) -> None:
         heapq.heappush(events, (at, next(sequence), kind, payload))
 
+    def request_at(at: float, size: int, client: int = -1, index: int = 0) -> _SimRequest:
+        deadline = None if deadline_s is None else at + deadline_s
+        return _SimRequest(at, size, deadline, client, index)
+
     # Closed-loop plumbing: client c's request i arrives think[c, i] seconds
     # after its previous response (or after t=0 for i=0).
     think: Optional[np.ndarray] = None
     if trace.kind == "closed":
         think = trace.think_times(scenario.seed)
         for client in range(think.shape[0]):
-            request = _SimRequest(
-                arrived=float(think[client, 0]),
-                samples=trace.request_samples,
-                deadline=None,
-                client=client,
-                index=0,
-            )
-            push(request.arrived, _ARRIVAL, request)
+            first = float(think[client, 0])
+            push(first, _ARRIVAL, request_at(first, trace.request_samples, client))
     else:
         for arrival in trace.arrivals(scenario.seed):
-            push(
-                arrival.at_s,
-                _ARRIVAL,
-                _SimRequest(
-                    arrived=arrival.at_s,
-                    samples=arrival.samples,
-                    deadline=None if deadline_s is None else arrival.at_s + deadline_s,
-                ),
-            )
+            push(arrival.at_s, _ARRIVAL, request_at(arrival.at_s, arrival.samples))
 
     def respond(request: _SimRequest, at: float) -> None:
         """A client learned its request's fate; closed loops think, then resubmit."""
@@ -291,94 +262,41 @@ def simulate(scenario: Scenario) -> ScenarioResult:
         if next_index >= think.shape[1]:
             return
         arrived = at + float(think[request.client, next_index])
-        follow_up = _SimRequest(
-            arrived=arrived,
-            samples=trace.request_samples,
-            deadline=None if deadline_s is None else arrived + deadline_s,
-            client=request.client,
-            index=next_index,
-        )
+        follow_up = request_at(arrived, trace.request_samples, request.client, next_index)
         push(arrived, _ARRIVAL, follow_up)
 
-    def admit(request: _SimRequest, at: float) -> None:
-        """Mirror of ``InferenceServer.submit``'s admission branch."""
-        nonlocal queued_samples
-        if request.deadline is None and deadline_s is not None:
-            request.deadline = request.arrived + deadline_s
-        depth = len(queue)
-        if policy in ("reject", "shed-oldest") and depth >= bound:
-            if policy == "reject":
-                counters.rejected += 1
-                respond(request, at)
-                return
-            oldest = queue.popleft()
-            queued_samples -= oldest.samples
-            counters.shed += 1
-            respond(oldest, at)
-        queue.append(request)
-        queued_samples += request.samples
-        counters.record_admission(len(queue))
-
     def dispatch(at: float) -> None:
-        """Form and launch batches while a lane is idle and the queue is ripe.
-
-        Mirror of the serving loop: the head request anchors the coalescing
-        window; the batch closes early under degrade-mode overload, at the
-        sample cap, or when the window expired — otherwise the lane waits
-        (via a ``_WAKE`` event) for stragglers.
-        """
-        nonlocal queued_samples, served, batches
-        while idle_lanes and queue:
-            head = queue[0]
-            window_end = head.arrived + window_s
-            # The live loop pops the head first, then samples overload, so the
-            # depth it sees excludes the request it already holds.
-            degraded = policy == "degrade" and len(queue) - 1 >= bound
-            if not (
-                degraded or queued_samples >= scenario.max_batch_size or at >= window_end
-            ):
-                push(window_end, _WAKE)
+        """Launch the core's batches while a lane is idle; else arm its wake-up."""
+        nonlocal batches
+        while idle_lanes and core.queue:
+            decision = core.next_batch(at)
+            # Clients hear of expiry before the wake-up / completion is pushed:
+            # heap sequence numbers break ties, so this order is observable.
+            for request in decision.expired:
+                respond(request, at)
+            if not decision.batch:
+                if decision.wake_at is not None:
+                    push(decision.wake_at, _WAKE)
                 return
-            batch: List[_SimRequest] = []
-            total = 0
-            while queue:
-                request = queue.popleft()
-                queued_samples -= request.samples
-                if request.deadline is not None and at > request.deadline:
-                    counters.deadline_missed += 1
-                    respond(request, at)
-                    continue
-                if batch and total + request.samples > scenario.max_batch_size:
-                    # Would overflow: it anchors the next batch instead.  (The
-                    # live loop holds it over; re-queueing at the head is the
-                    # same order.)
-                    queue.appendleft(request)
-                    queued_samples += request.samples
-                    break
-                batch.append(request)
-                total += request.samples
-                if total >= scenario.max_batch_size:
-                    break
-            if not batch:
-                continue  # every popped request had expired; re-examine the queue
-            if degraded:
-                counters.degraded_batches += 1
             batches += 1
             lane = idle_lanes.pop(0)
+            total = sum(request.size for request in decision.batch)
             finish = at + scenario.service.batch_ms(total) / 1000.0
-            push(finish, _LANE_FREE, (lane, batch))
+            push(finish, _LANE_FREE, (lane, decision.batch))
 
     while events:
         at, _, kind, payload = heapq.heappop(events)
         makespan = max(makespan, at)
         if kind == _ARRIVAL:
-            admit(payload, at)
+            refused = core.admit(payload)
+            if refused is not None:
+                respond(refused, at)
         elif kind == _LANE_FREE:
             lane, batch = payload
             insort(idle_lanes, lane)
             for request in batch:
                 served += 1
-                latencies.append((at - request.arrived) * 1000.0)
+                latencies.append((at - request.enqueued_at) * 1000.0)
                 respond(request, at)
         dispatch(at)
 
@@ -386,7 +304,7 @@ def simulate(scenario: Scenario) -> ScenarioResult:
         makespan = max(makespan, trace.duration_s)
     result = ScenarioResult(
         scenario=scenario,
-        counters=counters,
+        counters=core.counters,
         served=served,
         batches=batches,
         latencies_ms=latencies,
@@ -550,23 +468,11 @@ class ScenarioRunner:
             )
         row: Dict[str, object] = {
             "trace": trace.name,
-            "offered": counters.offered,
-            "accepted": counters.accepted,
-            "rejected": counters.rejected,
-            "shed": counters.shed,
-            "deadline_missed": counters.deadline_missed,
-            "served": served,
+            **counters_row(counters, server.stats.latencies_ms, served=served),
             "refused": refused,
         }
         if self.slo is not None:
-            latencies = list(server.stats.latencies_ms)
-            report = self.slo.evaluate(
-                {
-                    **row,
-                    "p99_ms": float(np.percentile(latencies, 99)) if latencies else 0.0,
-                }
-            )
-            row["slo"] = report.verdict
+            row["slo"] = self.slo.evaluate(row).verdict
         return row
 
     def replay_evaluation(

@@ -12,7 +12,7 @@ re-asserted ad hoc in every test.
 A spec evaluates any mapping that carries the standard accounting columns
 (``offered``/``accepted``/``served``/``rejected``/``shed``/
 ``deadline_missed``/``p99_ms``) — a :class:`ScenarioResult` row, or a row
-built from a live :class:`~repro.serve.inference.ServeCounters` via
+built from a live :class:`~repro.serve.batching.ServeCounters` via
 :func:`counters_row`.  Unset objectives are simply not checked, so a spec can
 be as narrow as one latency bound.
 """
@@ -25,7 +25,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serve.inference import ServeCounters
+from repro.serve.batching import ServeCounters
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ def counters_row(
     samples = np.asarray(list(latencies_ms if latencies_ms is not None else []), dtype=np.float64)
     if served is None:
         served = counters.accepted - counters.shed - counters.deadline_missed
-    row = {
+    summary = counters.summary()
+    return {
         "offered": counters.offered,
         "accepted": counters.accepted,
         "rejected": counters.rejected,
@@ -179,11 +180,6 @@ def counters_row(
         "served": served,
         "p50_ms": float(np.percentile(samples, 50)) if samples.size else 0.0,
         "p99_ms": float(np.percentile(samples, 99)) if samples.size else 0.0,
+        "queue_depth_p50": summary["queue_depth_p50"],
+        "queue_depth_p99": summary["queue_depth_p99"],
     }
-    row.update(
-        {
-            "queue_depth_p50": counters.summary()["queue_depth_p50"],
-            "queue_depth_p99": counters.summary()["queue_depth_p99"],
-        }
-    )
-    return row

@@ -20,11 +20,15 @@ the *transactional write path* (training), the same split HTAP systems make:
   :class:`BatchedEvaluator` (k checkpoint versions banked into a ``(k, P)``
   replica bank and evaluated in one fused forward — the serving-side analogue
   of ``SMA.step_matrix``),
-* :mod:`repro.serve.inference` — :class:`InferenceServer`, a micro-batching
-  front-end with max-batch/max-latency coalescing knobs, between-batch hot
-  swap to the newest published checkpoint, and request admission control
-  (bounded queue with reject / shed-oldest / degrade policies, per-request
-  deadlines, :class:`ServeCounters` observability),
+* :mod:`repro.serve.batching` — the one statement of the serving rules: a
+  sans-I/O, clock-injected ``BatchingCore`` (admission policies, per-request
+  deadlines, micro-batch ripeness and membership, :class:`ServeCounters`)
+  driven by both servers below and by ``repro.scenarios.simulate``,
+* :mod:`repro.serve.inference` — :class:`InferenceServer`, the wall-clock
+  driver of that core: a micro-batching front-end with max-batch/max-latency
+  coalescing knobs, between-batch hot swap to the newest published
+  checkpoint, and request admission control (bounded queue with reject /
+  shed-oldest / degrade policies, per-request deadlines),
 * :mod:`repro.serve.scaling` — the multi-process inference plane:
   :class:`InferencePool` (N forked inference workers over a request-tensor
   slot ring, resized in place by parking/resuming workers),
@@ -37,7 +41,8 @@ the *transactional write path* (training), the same split HTAP systems make:
 
 from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.serve.evaluation import EvaluationService, EvaluationTicket
-from repro.serve.inference import InferenceServer, ServeCounters, ServingStats
+from repro.serve.batching import ServeCounters
+from repro.serve.inference import InferenceServer, ServingStats
 from repro.serve.pool import BatchedEvaluator, EvaluatorPool
 from repro.serve.scaling import (
     InferencePool,

@@ -15,7 +15,10 @@ of Crossbow's "many small batches, fully utilised hardware" premise:
   publishing checkpoints upgrades the served model with zero downtime.
 
 Under overload a queue without bounds turns every request slow instead of
-keeping most requests fast, so admission control guards the front door:
+keeping most requests fast, so admission control guards the front door (the
+exact rules — and the coalescing rules above — are
+:class:`~repro.serve.batching.BatchingCore`'s; this module owns the clock, the
+lock and the forward pass around it):
 
 * ``admission_policy="reject"`` fails *new* requests once ``max_queue_depth``
   requests are waiting (callers see :class:`~repro.errors.AdmissionError` on
@@ -49,14 +52,13 @@ import numpy as np
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.nn.module import Module
+from repro.serve.batching import LATENCY_WINDOW, BatchingCore, ServeCounters
 from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.telemetry.recorder import get_recorder
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.logging import get_logger
 
 logger = get_logger("serve.inference")
-
-_ADMISSION_POLICIES = ("none", "reject", "shed-oldest", "degrade")
 
 
 @dataclass
@@ -86,11 +88,6 @@ def _stack(batch: List[_Request]) -> np.ndarray:
     if len(batch) == 1:
         return batch[0].images
     return np.concatenate([request.images for request in batch], axis=0)
-
-
-#: latency samples kept for percentile reporting (a rolling window, so a
-#: long-lived server's memory stays O(1) in the request count)
-LATENCY_WINDOW = 16384
 
 
 @dataclass
@@ -126,62 +123,6 @@ class ServingStats:
             "p99_ms": float(np.percentile(latencies, 99)) if latencies.size else 0.0,
             "throughput_req_s": self.requests / elapsed if elapsed > 0 else 0.0,
             "throughput_samples_s": self.samples / elapsed if elapsed > 0 else 0.0,
-        }
-
-
-@dataclass
-class ServeCounters:
-    """Admission-control observability, mirroring the trainer's ``SyncCounters``.
-
-    ``accepted``/``rejected``/``shed``/``deadline_missed`` partition every
-    submitted request's fate at the admission boundary (a request is counted
-    ``accepted`` when enqueued and additionally ``shed``/``deadline_missed``
-    if it is later dropped unserved).  ``degraded_batches`` counts forward
-    passes run in degrade mode — no coalescing wait, no hot-swap — i.e. how
-    often the server chose staleness over shedding.  ``queue_depths`` samples
-    the post-admission queue depth per accepted request (rolling window) for
-    the p50/p99 depth percentiles in :meth:`summary`.
-    """
-
-    accepted: int = 0
-    rejected: int = 0
-    shed: int = 0
-    deadline_missed: int = 0
-    degraded_batches: int = 0
-    queue_depths: Deque[int] = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
-
-    def record_admission(self, depth: int) -> None:
-        self.accepted += 1
-        self.queue_depths.append(depth)
-
-    @property
-    def offered(self) -> int:
-        """Every request that reached the admission boundary.
-
-        ``accepted`` and ``rejected`` partition the offered load (a shed or
-        deadline-missed request was *accepted* first), so conservation —
-        ``offered == accepted + rejected`` and
-        ``accepted >= shed + deadline_missed`` — holds at every instant; the
-        scenario harness's property tests assert exactly these identities.
-        """
-        return self.accepted + self.rejected
-
-    @property
-    def max_queue_depth_seen(self) -> int:
-        """Deepest post-admission queue observed (0 before any admission)."""
-        return max(self.queue_depths, default=0)
-
-    def summary(self) -> Dict[str, float]:
-        depths = np.asarray(self.queue_depths, dtype=np.float64)
-        return {
-            "offered": self.offered,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "deadline_missed": self.deadline_missed,
-            "degraded_batches": self.degraded_batches,
-            "queue_depth_p50": float(np.percentile(depths, 50)) if depths.size else 0.0,
-            "queue_depth_p99": float(np.percentile(depths, 99)) if depths.size else 0.0,
         }
 
 
@@ -237,38 +178,36 @@ class InferenceServer:
         max_queue_depth: Optional[int] = None,
         default_deadline_ms: Optional[float] = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if max_latency_ms < 0:
-            raise ConfigurationError("max_latency_ms must be >= 0")
-        if admission_policy not in _ADMISSION_POLICIES:
-            raise ConfigurationError(
-                f"admission_policy must be one of {_ADMISSION_POLICIES}, "
-                f"got {admission_policy!r}"
-            )
-        if admission_policy != "none" and (max_queue_depth is None or max_queue_depth < 1):
-            raise ConfigurationError(
-                f"admission_policy={admission_policy!r} needs max_queue_depth >= 1"
-            )
+        self._core: BatchingCore[_Request] = BatchingCore(
+            max_batch_size, max_latency_ms, admission_policy, max_queue_depth
+        )
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ConfigurationError("default_deadline_ms must be positive")
         self.model = model_template.clone()
         self.model.eval()
         self.store = store
         self.max_batch_size = max_batch_size
-        self.max_latency_s = max_latency_ms / 1000.0
-        self.admission_policy = admission_policy
         self.max_queue_depth = max_queue_depth
         self.default_deadline_ms = default_deadline_ms
         self.served_version: Optional[int] = None
         self.stats = ServingStats()
-        self.counters = ServeCounters()
-        self._pending: Deque[_Request] = deque()
+        # The core's own deque: everything admitted and not yet taken for a
+        # forward pass.  Touched, like the core, only under ``_wakeup``.
+        self._pending = self._core.queue
         self._wakeup = threading.Condition()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         if checkpoint is not None:
             self._load(checkpoint)
+
+    @property
+    def counters(self) -> ServeCounters:
+        """The core's admission counters; assign a fresh one to open a new window."""
+        return self._core.counters
+
+    @counters.setter
+    def counters(self, fresh: ServeCounters) -> None:
+        self._core.counters = fresh
 
     # -- lifecycle ---------------------------------------------------------------------
     def start(self) -> "InferenceServer":
@@ -302,8 +241,7 @@ class InferenceServer:
             for key, value in self.counters.summary().items():
                 recorder.counter(f"serve.{key}", float(value))
         with self._wakeup:
-            abandoned = list(self._pending)
-            self._pending.clear()
+            abandoned = self._core.drain()
         for request in abandoned:
             request.fail(ConfigurationError("inference server stopped"))
 
@@ -344,36 +282,20 @@ class InferenceServer:
             enqueued_at=now,
             deadline=None if deadline_ms is None else now + deadline_ms / 1000.0,
         )
-        shed: Optional[_Request] = None
-        rejected_depth: Optional[int] = None
         with self._wakeup:
-            depth = len(self._pending)
-            if (
-                self.admission_policy in ("reject", "shed-oldest")
-                and depth >= self.max_queue_depth
-            ):
-                if self.admission_policy == "reject":
-                    self.counters.rejected += 1
-                    rejected_depth = depth
-                else:
-                    shed = self._pending.popleft()
-                    self.counters.shed += 1
-            if rejected_depth is None:
-                self._pending.append(request)
-                self.counters.record_admission(len(self._pending))
+            refused = self._core.admit(request)
+            if refused is not request:
                 self._wakeup.notify()
         # Futures are failed outside the lock: a done-callback must not run
         # while the admission lock is held (it could block the serving loop).
-        if rejected_depth is not None:
-            future.set_exception(
+        if refused is request:
+            request.fail(
                 AdmissionError(
-                    f"request rejected: {rejected_depth} requests queued "
-                    f"(max_queue_depth={self.max_queue_depth})"
+                    f"request rejected: queue full (max_queue_depth={self.max_queue_depth})"
                 )
             )
-            return future
-        if shed is not None:
-            shed.fail(
+        elif refused is not None:
+            refused.fail(
                 AdmissionError(
                     "request shed: a newer request arrived at a full queue "
                     f"(max_queue_depth={self.max_queue_depth})"
@@ -390,80 +312,33 @@ class InferenceServer:
         """Blocking convenience wrapper: logits for one request."""
         return self.submit(images, deadline_ms=deadline_ms).result(timeout=timeout)
 
-    # -- queue internals ---------------------------------------------------------------
-    def _pop(self, timeout: Optional[float]) -> Optional[_Request]:
-        """Pop the oldest queued request, waiting up to ``timeout`` seconds."""
-        with self._wakeup:
-            if not self._pending and timeout:
-                self._wakeup.wait(timeout)
-            if not self._pending:
-                return None
-            return self._pending.popleft()
-
-    def _overloaded(self) -> bool:
-        return (
-            self.admission_policy == "degrade"
-            and len(self._pending) >= self.max_queue_depth
-        )
-
-    def _expired(self, request: _Request) -> bool:
-        """Fail a request whose deadline passed before its batch started."""
-        if request.deadline is None or time.perf_counter() <= request.deadline:
-            return False
-        self.counters.deadline_missed += 1
-        request.fail(AdmissionError("request deadline passed before a forward pass started"))
-        return True
-
     # -- serving loop ------------------------------------------------------------------
+    def _idle(self) -> None:
+        """Once-per-turn hook, run outside the lock before the loop asks for a batch."""
+
     def _serve_loop(self) -> None:
-        # A request that would overflow the current batch is held over to
-        # start the next one (popped requests cannot be pushed back).
-        holdover: Optional[_Request] = None
         while not self._stop.is_set():
-            if holdover is not None:
-                first, holdover = holdover, None
-            else:
-                first = self._pop(timeout=0.01)
-                if first is None:
+            self._idle()
+            with self._wakeup:
+                now = time.perf_counter()
+                decision = self._core.next_batch(now)
+                if not decision.batch and not decision.expired:
+                    # Waiting under the lock submit() notifies under: a request
+                    # admitted after next_batch() looked cannot be slept through.
+                    # The 10 ms cap is the idle turn (stop flag, _idle hook).
+                    pause = 0.01 if decision.wake_at is None else decision.wake_at - now
+                    self._wakeup.wait(min(0.01, pause))
                     continue
-            if self._expired(first):
-                continue
-            batch = [first]
-            total = first.size
-            deadline = first.enqueued_at + self.max_latency_s
-            # Under degrade-mode overload the loop stops waiting for company
-            # and stops hot-swapping: ship whatever is queued, right now,
-            # on the checkpoint already loaded (possibly stale).
-            degraded = self._overloaded()
-            while total < self.max_batch_size:
-                # Greedy: coalesce everything already queued without waiting
-                # (continuous batching under sustained load).
-                request = self._pop(timeout=None)
-                if request is None:
-                    if degraded:
-                        break
-                    # Queue ran dry below max_batch: wait for stragglers only
-                    # while the oldest request still has latency budget.
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    request = self._pop(timeout=remaining)
-                    if request is None:
-                        break
-                if self._expired(request):
-                    continue
-                if total + request.size > self.max_batch_size:
-                    holdover = request
-                    break
-                batch.append(request)
-                total += request.size
-            if degraded:
-                self.counters.degraded_batches += 1
-            else:
-                self._maybe_hot_swap()
-            self._run_batch(batch)
-        if holdover is not None:
-            holdover.fail(ConfigurationError("inference server stopped"))
+            for request in decision.expired:
+                request.fail(
+                    AdmissionError("request deadline passed before a forward pass started")
+                )
+            if decision.batch:
+                # A degraded batch ships on the checkpoint already loaded
+                # (possibly stale): under overload the hot swap waits too.
+                if not decision.degraded:
+                    self._maybe_hot_swap()
+                self._run_batch(decision.batch)
 
     def _run_batch(self, batch: List[_Request]) -> None:
         try:

@@ -28,7 +28,7 @@ already serves the training plane serves inference too.
 
 * :class:`PooledInferenceServer` — the :class:`InferenceServer` subclass
   that routes batches through the pool.  Admission control, micro-batch
-  coalescing, deadlines and :class:`~repro.serve.inference.ServeCounters`
+  coalescing, deadlines and :class:`~repro.serve.batching.ServeCounters`
   are all inherited unchanged; only the execution of a formed batch differs:
   the batch is published under a ticket and its futures are resolved when
   the matching response arrives.  Responses are matched to futures *by
@@ -199,7 +199,7 @@ class PooledInferenceServer(InferenceServer):
     """An :class:`InferenceServer` whose forward passes run on an :class:`InferencePool`.
 
     The front door is inherited unchanged — admission policies, deadlines,
-    micro-batch coalescing, :class:`~repro.serve.inference.ServeCounters` —
+    micro-batch coalescing, :class:`~repro.serve.batching.ServeCounters` —
     so every conservation identity the scenario harness asserts for the
     in-process server holds here too.  A formed batch is published to the
     pool under a fresh ticket instead of running inline; the serving loop
@@ -336,14 +336,13 @@ class PooledInferenceServer(InferenceServer):
             return
         self._inflight[ticket] = batch
 
-    def _pop(self, timeout: Optional[float]) -> Optional[_Request]:
-        # The serving loop polls the queue continuously; piggyback response
-        # draining on the same cadence so no extra thread exists in this
-        # module (scaling.py holds the pool's fork sites — R3 rejects
-        # modules that both fork and start threads).
+    def _idle(self) -> None:
+        # The serving loop turns at least every 10 ms; piggyback response
+        # draining on that cadence so no extra thread exists in this module
+        # (scaling.py holds the pool's fork sites — R3 rejects modules that
+        # both fork and start threads).
         if self._inflight:
             self._drain(block=False)
-        return super()._pop(timeout)
 
     # -- response path -------------------------------------------------------------------
     def _drain(self, block: bool) -> bool:

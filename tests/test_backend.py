@@ -175,20 +175,6 @@ def _config(**overrides):
     return CrossbowConfig(**defaults)
 
 
-class TestTrainerBackendEquivalence:
-    def test_invalid_backend_name_is_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            CrossbowTrainer(_config(kernel_backend="cublas"))
-
-    @pytest.mark.parametrize("provider", [p for p in PROVIDERS if p != "numpy"])
-    def test_fixed_seed_training_is_backend_invariant(self, provider):
-        baseline = CrossbowTrainer(_config()).train()
-        routed = CrossbowTrainer(_config(kernel_backend=provider)).train()
-        for ours, theirs in zip(baseline.metrics.records, routed.metrics.records):
-            assert ours.test_accuracy == theirs.test_accuracy
-            assert ours.train_loss == theirs.train_loss
-
-
 # ------------------------------------------------------------------ mode selection
 class TestModeSelection:
     def test_recommend_is_monotone_in_cores(self):

@@ -373,6 +373,7 @@ class TestLiveReplay:
         assert row["offered"] == trace.offered(7)
         assert row["accepted"] + row["rejected"] == row["offered"]
         assert row["served"] + row["refused"] == row["offered"]
+        assert row["queue_depth_p99"] >= 1.0  # the one accounting row, depth columns included
 
     def test_closed_loop_rejected(self):
         with pytest.raises(ConfigurationError):
