@@ -103,7 +103,9 @@ class CrossbowConfig(TrainerConfig):
     sma_momentum: float = 0.9
     sma_alpha: Optional[float] = None
     synchronisation_period: int = 1  # τ; 1 = synchronise every iteration
-    synchronisation: str = "sma"  # "sma" or "easgd"
+    # "sma", "easgd", or "none" (the SMA container with alpha = 0: replicas are
+    # never corrected -- the tau = infinity ablation)
+    synchronisation: str = "sma"
     restart_on_lr_change: bool = True
 
     def __post_init__(self) -> None:

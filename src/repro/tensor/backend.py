@@ -20,9 +20,9 @@ implementation available on the host without the callers changing:
   NumPy arithmetic exactly; every other provider is tested bit-identical to
   it.
 * ``blas_batched`` — stacks per-model operands and issues one batched GEMM
-  (``np.matmul`` / ``np.einsum`` over a leading ``k`` axis) instead of ``k``
-  separate calls.  Same floats: a batched GEMM applies the same
-  multiply-accumulate per slice, which the provider test suite pins down.
+  (``np.matmul`` over a leading ``k`` axis) instead of ``k`` separate calls.
+  Same floats: a batched GEMM applies the same multiply-accumulate per slice,
+  which the provider test suite pins down.
 
 Association-order-sensitive reductions (``corrections.sum(axis=0)``) live in
 exactly one place — :meth:`KernelBackend.column_sum` — which providers MUST
@@ -151,18 +151,12 @@ class KernelBackend:
         ``cols`` is either shared ``(n, f, p)`` columns (all models convolve
         the same activations — the first conv layer) or per-model
         ``(k, n, f, p)``.  Returns ``(k, n, of, p)``.  The reference issues the
-        sequential path's exact einsum once per model.
+        sequential path's exact product (``F.conv2d``'s ``w_mat @ cols``) once
+        per model.
         """
-        if cols.ndim == 3:
-            return np.stack(
-                [
-                    np.einsum("of,nfp->nop", weight_stack[i], cols, optimize=True)
-                    for i in range(weight_stack.shape[0])
-                ]
-            )
         return np.stack(
             [
-                np.einsum("of,nfp->nop", weight_stack[i], cols[i], optimize=True)
+                np.matmul(weight_stack[i], cols if cols.ndim == 3 else cols[i])
                 for i in range(weight_stack.shape[0])
             ]
         )
@@ -202,19 +196,17 @@ NumpyBackend = KernelBackend
 class BlasBatchedBackend(KernelBackend):
     """Batched-GEMM provider: one stacked BLAS call instead of ``k`` small ones.
 
-    ``np.matmul``/``np.einsum`` over a leading ``k`` axis dispatch to the same
-    BLAS multiply-accumulate per slice, so results stay bit-identical to the
+    ``np.matmul`` over a leading ``k`` axis dispatches to the same BLAS
+    multiply-accumulate per slice, so results stay bit-identical to the
     per-model reference while the ``k`` dispatch overheads collapse into one.
     """
 
     name = "blas_batched"
-    description = "stacked matmul/einsum batched-GEMM over the leading k axis"
+    description = "stacked matmul batched-GEMM over the leading k axis"
 
     def batched_conv2d(self, weight_stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if cols.ndim == 3:
-            result: np.ndarray = np.einsum("kof,nfp->knop", weight_stack, cols, optimize=True)
-        else:
-            result = np.einsum("kof,knfp->knop", weight_stack, cols, optimize=True)
+        # (k, 1, of, f) @ (n, f, p) or (k, n, f, p): one stacked matmul either way.
+        result: np.ndarray = np.matmul(weight_stack[:, None], cols)
         return result
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
 from repro.tensor.tensor import Function, Tensor, unbroadcast
@@ -319,47 +320,76 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # Convolution and pooling (NCHW layout)
 # ---------------------------------------------------------------------------
-def _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding):
-    batch, channels, height, width = x_shape
-    out_h = (height + 2 * padding - kernel_h) // stride + 1
-    out_w = (width + 2 * padding - kernel_w) // stride + 1
+def _output_size(x_shape, kernel_h, kernel_w, stride, padding):
+    """Spatial output extent of a windowed op; ``ShapeError`` if it would be empty.
+
+    Runs before any window view is built, so a kernel larger than the padded
+    input surfaces as the repo's error type rather than as NumPy's.
+    """
+    out_h = (x_shape[2] + 2 * padding - kernel_h) // stride + 1
+    out_w = (x_shape[3] + 2 * padding - kernel_w) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ShapeError(
-            f"convolution output would be empty for input {x_shape}, "
+            f"convolution / pooling output would be empty for a {x_shape[2]}x{x_shape[3]} input, "
             f"kernel ({kernel_h},{kernel_w}), stride {stride}, padding {padding}"
         )
-
-    i0 = np.repeat(np.arange(kernel_h), kernel_w)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+    return out_h, out_w
 
 
 def _im2col(x, kernel_h, kernel_w, stride, padding):
-    pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    x_padded = np.pad(x, pad_width, mode="constant") if padding > 0 else x
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kernel_h, kernel_w, stride, padding)
-    cols = x_padded[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
+    """Gather every receptive field of ``x`` into ``(N, C*kh*kw, out_h*out_w)`` columns.
+
+    The windows are a strided view of the (padded) input; the one copy is the
+    reshape that lays them out as GEMM columns.  A 1x1 unpadded kernel has
+    one-element windows, so its columns are a strided slice of ``x`` itself.
+    """
+    batch, channels = x.shape[:2]
+    out_h, out_w = _output_size(x.shape, kernel_h, kernel_w, stride, padding)
+    if kernel_h == 1 and kernel_w == 1 and padding == 0:
+        return x[:, :, ::stride, ::stride].reshape(batch, channels, -1), out_h, out_w
+    if padding > 0:
+        padded = np.zeros(
+            (batch, channels, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding), dtype=x.dtype
+        )
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    windows = sliding_window_view(x, (kernel_h, kernel_w), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, C, out_h, out_w, kh, kw)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, -1, out_h * out_w)
     return cols, out_h, out_w
 
 
 def _col2im(cols, x_shape, kernel_h, kernel_w, stride, padding):
+    """Scatter-add ``(N, C*kh*kw, out_h*out_w)`` columns back onto the input grid.
+
+    One strided slice-accumulate per kernel offset: within an offset the
+    target positions are distinct, so a plain ``+=`` accumulates overlapping
+    windows correctly across offsets.
+    """
     batch, channels, height, width = x_shape
-    padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    x_padded = np.zeros((batch, channels, padded_h, padded_w), dtype=cols.dtype)
-    k, i, j, _, _ = _im2col_indices(x_shape, kernel_h, kernel_w, stride, padding)
-    np.add.at(x_padded, (slice(None), k, i, j), cols)
+    out_h, out_w = _output_size(x_shape, kernel_h, kernel_w, stride, padding)
+    x_padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
+    )
+    cols = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    for i in range(kernel_h):
+        rows = slice(i, i + stride * out_h, stride)
+        for j in range(kernel_w):
+            x_padded[:, :, rows, j : j + stride * out_w : stride] += cols[:, :, i, j]
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]
 
 
 class _Conv2d(Function):
+    """Convolution as three GEMM-shaped products over the im2col columns.
+
+    With ``F = C*kh*kw`` and ``P = out_h*out_w``: forward ``(O,F) @ (N,F,P)``,
+    weight gradient ``(N,O,P) @ (N,P,F)`` summed over ``N``, column gradient
+    ``(F,O) @ (N,O,P)``.  Every product comes out contiguous in the layout its
+    consumer reads, so the reshapes around them are views.
+    """
+
     def forward(self, x, weight, bias, stride: int, padding: int):
         out_channels, in_channels, kernel_h, kernel_w = weight.shape
         if x.shape[1] != in_channels:
@@ -367,31 +397,26 @@ class _Conv2d(Function):
                 f"conv2d input has {x.shape[1]} channels but weight expects {in_channels}"
             )
         cols, out_h, out_w = _im2col(x, kernel_h, kernel_w, stride, padding)
-        w_mat = weight.reshape(out_channels, -1)
-        out = np.einsum("of,nfp->nop", w_mat, cols, optimize=True)
+        out = np.matmul(weight.reshape(out_channels, -1), cols)  # (N, O, P)
         if bias is not None:
-            out = out + bias.reshape(1, -1, 1)
-        out = out.reshape(x.shape[0], out_channels, out_h, out_w)
+            out += bias.reshape(1, -1, 1)
         self.save_for_backward(x.shape, weight, cols, stride, padding, bias is not None)
-        return out
+        return out.reshape(x.shape[0], out_channels, out_h, out_w)
 
     def backward(self, grad):
         x_shape, weight, cols, stride, padding, has_bias = self.saved
         out_channels, in_channels, kernel_h, kernel_w = weight.shape
-        batch = grad.shape[0]
-        grad_mat = grad.reshape(batch, out_channels, -1)  # (N, O, P)
+        grad_mat = grad.reshape(grad.shape[0], out_channels, -1)  # (N, O, P)
 
-        grad_bias = grad_mat.sum(axis=(0, 2)) if has_bias else None
-        grad_weight = np.einsum("nop,nfp->of", grad_mat, cols, optimize=True)
-        grad_weight = grad_weight.reshape(weight.shape)
-
-        w_mat = weight.reshape(out_channels, -1)
-        grad_cols = np.einsum("of,nop->nfp", w_mat, grad_mat, optimize=True)
-        grad_x = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
-
-        grads = [grad_x, grad_weight]
+        grad_weight = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+        grads = [None, grad_weight.reshape(weight.shape)]
+        # The stem conv reads raw images: nothing upstream wants grad_x, and it
+        # has the largest spatial extent in the net, so do not compute it.
+        if self.parents[0].requires_grad:
+            grad_cols = np.matmul(weight.reshape(out_channels, -1).T, grad_mat)  # (N, F, P)
+            grads[0] = _col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
         if has_bias:
-            grads.append(grad_bias)
+            grads.append(grad_mat.sum(axis=(0, 2)))
         return tuple(grads[: len(self.parents)])
 
 
@@ -408,62 +433,49 @@ def conv2d(
     return _Conv2d.apply(x, weight, bias, stride=stride, padding=padding)
 
 
+def _pool_cols(x, kernel_size, stride):
+    """Per-channel pooling windows as ``(N*C, k*k, out_h*out_w)`` columns."""
+    batch, channels, height, width = x.shape
+    folded = x.reshape(batch * channels, 1, height, width)
+    return _im2col(folded, kernel_size, kernel_size, stride, 0)
+
+
+def _pool_scatter(grad_cols, x_shape, kernel_size, stride):
+    """Inverse of :func:`_pool_cols` for gradients: columns back onto ``x_shape``."""
+    batch, channels, height, width = x_shape
+    folded = (batch * channels, 1, height, width)
+    return _col2im(grad_cols, folded, kernel_size, kernel_size, stride, 0).reshape(x_shape)
+
+
 class _MaxPool2d(Function):
     def forward(self, x, kernel_size: int, stride: int):
-        batch, channels, height, width = x.shape
-        out_h = (height - kernel_size) // stride + 1
-        out_w = (width - kernel_size) // stride + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ShapeError(f"max_pool2d output would be empty for input {x.shape}")
-        x_reshaped = x.reshape(batch * channels, 1, height, width)
-        cols, _, _ = _im2col(x_reshaped, kernel_size, kernel_size, stride, 0)
-        # cols: (N*C, k*k, out_h*out_w)
+        cols, out_h, out_w = _pool_cols(x, kernel_size, stride)
         argmax = cols.argmax(axis=1)
-        out = cols.max(axis=1).reshape(batch, channels, out_h, out_w)
+        out = cols.max(axis=1).reshape(x.shape[0], x.shape[1], out_h, out_w)
         self.save_for_backward(x.shape, cols.shape, argmax, kernel_size, stride)
         return out
 
     def backward(self, grad):
         x_shape, cols_shape, argmax, kernel_size, stride = self.saved
-        batch, channels, height, width = x_shape
-        grad_flat = grad.reshape(batch * channels, -1)
         grad_cols = np.zeros(cols_shape, dtype=np.float32)
         rows = np.arange(cols_shape[0])[:, None]
         positions = np.arange(cols_shape[2])[None, :]
-        grad_cols[rows, argmax, positions] = grad_flat
-        grad_x = _col2im(
-            grad_cols, (batch * channels, 1, height, width), kernel_size, kernel_size, stride, 0
-        )
-        return (grad_x.reshape(x_shape),)
+        grad_cols[rows, argmax, positions] = grad.reshape(cols_shape[0], -1)
+        return (_pool_scatter(grad_cols, x_shape, kernel_size, stride),)
 
 
 class _AvgPool2d(Function):
     def forward(self, x, kernel_size: int, stride: int):
-        batch, channels, height, width = x.shape
-        out_h = (height - kernel_size) // stride + 1
-        out_w = (width - kernel_size) // stride + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ShapeError(f"avg_pool2d output would be empty for input {x.shape}")
-        x_reshaped = x.reshape(batch * channels, 1, height, width)
-        cols, _, _ = _im2col(x_reshaped, kernel_size, kernel_size, stride, 0)
-        out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+        cols, out_h, out_w = _pool_cols(x, kernel_size, stride)
+        out = cols.mean(axis=1).reshape(x.shape[0], x.shape[1], out_h, out_w)
         self.save_for_backward(x.shape, cols.shape, kernel_size, stride)
         return out
 
     def backward(self, grad):
         x_shape, cols_shape, kernel_size, stride = self.saved
-        batch, channels, height, width = x_shape
-        grad_flat = grad.reshape(batch * channels, 1, -1)
-        grad_cols = np.broadcast_to(grad_flat / (kernel_size * kernel_size), cols_shape)
-        grad_x = _col2im(
-            np.ascontiguousarray(grad_cols),
-            (batch * channels, 1, height, width),
-            kernel_size,
-            kernel_size,
-            stride,
-            0,
-        )
-        return (grad_x.reshape(x_shape),)
+        share = grad.reshape(cols_shape[0], 1, -1) / (kernel_size * kernel_size)
+        grad_cols = np.broadcast_to(share, cols_shape)
+        return (_pool_scatter(grad_cols, x_shape, kernel_size, stride),)
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -499,17 +511,21 @@ class _BatchNorm(Function):
 
     def forward(self, x, gamma, beta, eps: float, mean_in, var_in):
         axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
         if mean_in is None:
+            # Centre once: the variance is the mean square of the tensor the
+            # normalisation needs anyway (x.var would re-derive the mean).
             mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
+            x_hat = x - mean
+            var = np.square(x_hat).mean(axis=axes, keepdims=True)
         else:
-            shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
             mean = mean_in.reshape(shape)
             var = var_in.reshape(shape)
+            x_hat = x - mean
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x - mean) * inv_std
-        shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
-        out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+        x_hat *= inv_std
+        out = gamma.reshape(shape) * x_hat
+        out += beta.reshape(shape)
         self.save_for_backward(x_hat, inv_std, gamma, axes, shape)
         self.batch_mean = mean.reshape(-1)
         self.batch_var = var.reshape(-1)
@@ -517,19 +533,17 @@ class _BatchNorm(Function):
 
     def backward(self, grad):
         x_hat, inv_std, gamma, axes, shape = self.saved
-        count = np.prod([x_hat.shape[a] for a in axes])
+        count = np.float32(x_hat.size // gamma.size)
         grad_gamma = (grad * x_hat).sum(axis=axes)
         grad_beta = grad.sum(axis=axes)
-        grad_xhat = grad * gamma.reshape(shape)
-        grad_x = (
-            inv_std
-            / count
-            * (
-                count * grad_xhat
-                - grad_xhat.sum(axis=axes, keepdims=True)
-                - x_hat * (grad_xhat * x_hat).sum(axis=axes, keepdims=True)
-            )
-        )
+        # With g = grad * gamma, the textbook formula's two channel reductions
+        # are sum(g) = gamma * grad_beta and sum(g * x_hat) = gamma * grad_gamma:
+        # the parameter gradients already in hand.  So
+        # grad_x = gamma * inv_std * (grad - grad_beta / m - x_hat * grad_gamma / m).
+        grad_x = x_hat * (grad_gamma / -count).reshape(shape)
+        grad_x += grad
+        grad_x -= (grad_beta / count).reshape(shape)
+        grad_x *= gamma.reshape(shape) * inv_std
         return grad_x, grad_gamma, grad_beta
 
 

@@ -18,7 +18,9 @@ from repro.errors import ConfigurationError
 from repro.models import create_model
 from repro.optim.easgd import EASGD
 from repro.optim.sma import SMA
+from repro.tensor import Tensor
 from repro.tensor import backend as backend_module
+from repro.tensor import functional as F
 from repro.tensor.backend import (
     KernelBackend,
     available_backends,
@@ -26,6 +28,7 @@ from repro.tensor.backend import (
     register_backend,
     resolve_backend,
 )
+from repro.tensor.functional import _im2col
 from repro.telemetry.store import TelemetryStore
 from repro.utils.rng import RandomState
 
@@ -144,6 +147,13 @@ class TestProviderBitIdentity:
             reference.batched_conv2d(conv_weights, batched_cols),
             candidate.batched_conv2d(conv_weights, batched_cols),
         )
+        # ... and both are the sequential layer's exact product, float for float.
+        images = rng.standard_normal((6, 2, 5, 5)).astype(np.float32)
+        image_cols, _, _ = _im2col(images, 3, 3, 1, 0)
+        fused = candidate.batched_conv2d(conv_weights, image_cols)
+        for i in range(k):
+            sequential = F.conv2d(Tensor(images), Tensor(conv_weights[i].reshape(4, 2, 3, 3)))
+            np.testing.assert_array_equal(fused[i].reshape(6, 4, 3, 3), sequential.data)
 
         spatial = rng.standard_normal((k, 6, 4, 3, 3)).astype(np.float32)
         gamma = rng.standard_normal((k, 4)).astype(np.float32)

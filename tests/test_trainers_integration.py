@@ -110,6 +110,21 @@ class TestCrossbowTrainer:
         result = CrossbowTrainer(_crossbow_config(synchronisation="easgd")).train()
         assert result.metrics.best_accuracy() > 0.8
 
+    def test_synchronisation_none_trains_with_alpha_zero(self):
+        """``"none"`` is the third accepted value: the SMA container, never correcting."""
+        trainer = CrossbowTrainer(
+            _crossbow_config(synchronisation="none", target_accuracy=None, max_epochs=2)
+        )
+        assert trainer.synchroniser.alpha == 0.0
+        result = trainer.train()
+        assert len(result.metrics) == 2
+        # No correction ever reaches the centre, so it is still the initial model.
+        np.testing.assert_array_equal(
+            trainer.synchroniser.center, trainer.initial_model.parameter_vector()
+        )
+        with pytest.raises(ConfigurationError, match="'sma', 'easgd' or 'none'"):
+            CrossbowConfig(model_name="mlp", dataset_name="blobs", synchronisation="other")
+
     def test_synchronisation_period_greater_than_one(self):
         result = CrossbowTrainer(
             _crossbow_config(synchronisation_period=3, target_accuracy=None, max_epochs=2)
