@@ -113,8 +113,8 @@ class CrossbowTrainer:
 
             config = resolve_auto_execution(config)
         self.config = config
-        #: kernel provider for the dense (k, P) hot paths (fused step_matrix,
-        #: gradient gather): the reference — no provider overrides an op routed here.
+        #: kernel provider for the gradient gather and the update-row scaling:
+        #: the reference — no provider overrides an op routed here.
         self.backend = get_backend()
         self.rng = RandomState(config.seed, name="crossbow")
 
@@ -272,7 +272,6 @@ class CrossbowTrainer:
                     elasticity=self.config.sma_alpha,
                     communication_period=self.config.synchronisation_period,
                 ),
-                backend=self.backend,
             )
         # "none" still uses the SMA container for the central model but with α=0,
         # so replicas never receive corrections (used by the τ=∞ ablation).
@@ -284,7 +283,7 @@ class CrossbowTrainer:
             alpha=alpha,
             synchronisation_period=self.config.synchronisation_period,
         )
-        return SMA(center, num_replicas, config, backend=self.backend)
+        return SMA(center, num_replicas, config)
 
     def _add_learner_on_gpu(self, gpu_id: int, model: Module) -> Learner:
         gpu = self.server.gpu(gpu_id)

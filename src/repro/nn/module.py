@@ -222,9 +222,11 @@ class Module:
         ``out`` lets callers gather gradients into a pre-allocated buffer (a
         row of the trainer's ``(k, P)`` gradient matrix) without allocating.
         ``backend`` routes the gather through a
-        :class:`~repro.tensor.backend.KernelBackend` (one of the three dense
-        hot paths the backend protocol covers); ``None`` keeps the inline
+        :class:`~repro.tensor.backend.KernelBackend` (one of the dense hot
+        paths the backend protocol covers); ``None`` keeps the inline
         reference copy loop, which is what the numpy provider does too.
+        Operators return parameter gradients C-contiguous, so each segment
+        copy is a memcpy.
         """
         expected = self.num_parameters()
         if out is None:

@@ -15,13 +15,12 @@ The update rule per synchronisation round, with elasticity ``ρ``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.optim.sma import validate_step_matrix
-from repro.tensor.backend import KernelBackend, resolve_backend
+from repro.optim.step import BlockedStep, apply_local_updates, validate_step_matrix
 
 
 @dataclass
@@ -59,17 +58,16 @@ class EASGD:
         initial_model: np.ndarray,
         num_replicas: int,
         config: Optional[EASGDConfig] = None,
-        backend: Union[KernelBackend, str, None] = None,
     ) -> None:
         if num_replicas < 1:
             raise ConfigurationError("EA-SGD needs at least one replica")
-        self.backend = resolve_backend(backend)
         self.config = config if config is not None else EASGDConfig()
         self.num_replicas = num_replicas
         self.elasticity = (
             self.config.elasticity if self.config.elasticity is not None else 1.0 / num_replicas
         )
         self.center = np.array(initial_model, dtype=np.float32, copy=True)
+        self._blocked_step = BlockedStep(num_replicas, self.center.size)
         self.iteration = 0
         #: monotone counter bumped by every mutating operation, mirroring
         #: :attr:`repro.optim.sma.SMA.version` for central-model caching.
@@ -125,22 +123,14 @@ class EASGD:
         in place — or into ``out`` (deferred publish for the pipelined
         executor: ``weights`` stays untouched as the front buffer, the centre
         and :attr:`version` advance immediately).  Returns the new central
-        model.
+        model, which is :attr:`center` itself: it moves in place, so copy it
+        to keep a snapshot.
         """
-        out = validate_step_matrix(self.num_replicas, weights, updates, out)
-        if not self.should_synchronise():
-            if updates is not None:
-                np.subtract(weights, updates, out=out)
-            elif out is not weights:
-                np.copyto(out, weights)
-            self.iteration += 1
-            self.version += 1
-            return self.center
-        corrections = self.backend.correction_matrix(weights, self.center, self.elasticity)
-        self.center = self.center + self.backend.column_sum(corrections)
-        if updates is not None:
-            self.backend.combine_updates(corrections, updates)
-        self.backend.apply_step(weights, corrections, out)
+        out = validate_step_matrix((self.num_replicas, self.center.size), weights, updates, out)
+        if self.should_synchronise():
+            self._blocked_step(weights, updates, out, self.center, self.elasticity)
+        else:
+            apply_local_updates(weights, updates, out)
         self.iteration += 1
         self.version += 1
         return self.center

@@ -20,45 +20,12 @@ It also supports the two refinements described in §3.2/§3.3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tensor.backend import KernelBackend, resolve_backend
-
-
-def validate_step_matrix(
-    num_replicas: int,
-    weights: np.ndarray,
-    updates: Optional[np.ndarray],
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """Shared shape/type checks for the fused ``step_matrix`` updates.
-
-    Used by both :meth:`SMA.step_matrix` and
-    :meth:`repro.optim.easgd.EASGD.step_matrix` so the deferred-publish
-    contract (``out=``) cannot silently diverge between the synchronisers.
-    Returns the resolved output matrix: ``out`` when given, else ``weights``
-    (in-place update).
-    """
-    if not isinstance(weights, np.ndarray):
-        # np.asarray would copy a list of rows and the in-place update
-        # would silently mutate the copy, not the caller's replicas.
-        raise ConfigurationError("step_matrix requires an ndarray updated in place")
-    if weights.ndim != 2 or weights.shape[0] != num_replicas:
-        raise ConfigurationError(
-            f"expected a ({num_replicas}, P) weight matrix, got {weights.shape}"
-        )
-    if updates is not None and updates.shape != weights.shape:
-        raise ConfigurationError(
-            f"update matrix has shape {updates.shape}, expected {weights.shape}"
-        )
-    if out is None:
-        return weights
-    if not isinstance(out, np.ndarray) or out.shape != weights.shape:
-        raise ConfigurationError(f"out matrix must be an ndarray of shape {weights.shape}")
-    return out
+from repro.optim.step import BlockedStep, apply_local_updates, validate_step_matrix
 
 
 @dataclass
@@ -109,11 +76,6 @@ class SMA:
         The number of learners ``k`` whose corrections are consolidated.
     config:
         Algorithm hyper-parameters (momentum µ, correction weight α, period τ).
-    backend:
-        Kernel provider (name or :class:`~repro.tensor.backend.KernelBackend`)
-        for the fused ``(k, P)`` arithmetic of :meth:`step_matrix`; defaults
-        to the numpy reference.  Every registered provider is bit-identical,
-        so this only changes speed, never the trajectory.
     """
 
     def __init__(
@@ -121,16 +83,15 @@ class SMA:
         initial_model: np.ndarray,
         num_replicas: int,
         config: Optional[SMAConfig] = None,
-        backend: Union[KernelBackend, str, None] = None,
     ) -> None:
         if num_replicas < 1:
             raise ConfigurationError("SMA needs at least one replica")
-        self.backend = resolve_backend(backend)
         self.config = config if config is not None else SMAConfig()
         self.num_replicas = num_replicas
         self.alpha = self.config.alpha if self.config.alpha is not None else 1.0 / num_replicas
         self.center = np.array(initial_model, dtype=np.float32, copy=True)
         self._previous_center = self.center.copy()
+        self._blocked_step = BlockedStep(num_replicas, self.center.size)
         self.iteration = 0
         self.restarts = 0
         #: monotone counter bumped by every mutating operation (step, restart);
@@ -203,9 +164,11 @@ class SMA:
 
         Computes the correction matrix ``C = α (W − z)``, then advances the
         central model ``z ← z + C.sum(0) + µ (z − z_prev)`` and the replicas
-        ``W ← W − (U + C)`` — numerically identical to the per-replica
+        ``W ← W − (U + C)`` — bit-identical to the per-replica
         :meth:`correction` / :meth:`apply_corrections` loop, without any
-        per-learner Python iteration or flatten/unflatten round trips.
+        per-learner Python iteration or flatten/unflatten round trips.  The
+        arithmetic runs one cache block of ``P`` at a time
+        (:class:`~repro.optim.step.BlockedStep`) and allocates nothing.
 
         Parameters
         ----------
@@ -217,8 +180,7 @@ class SMA:
         updates : numpy.ndarray, optional
             ``(k, P)`` pre-scaled local updates ``U`` (row ``j`` holds
             ``η·g_j`` plus any weight-decay term).  When omitted, only the
-            correction/centre move is applied.  May be overwritten as
-            scratch.
+            correction/centre move is applied.  Left unchanged.
         out : numpy.ndarray, optional
             Deferred publish: write the new replica matrix into ``out``
             instead of mutating ``weights``, leaving ``weights`` untouched as
@@ -233,46 +195,39 @@ class SMA:
         -------
         numpy.ndarray
             The new central model ``z`` of shape ``(P,)`` (also stored on
-            :attr:`center`).  When this is not a synchronisation iteration
-            (τ > 1) or ``alpha == 0`` the replicas receive no corrections,
-            but local updates are still applied and the iteration counter
-            advances.
+            :attr:`center`).  This is the synchroniser's own buffer: ``z`` and
+            ``z_prev`` are double-buffered, so the array is overwritten two
+            synchronisation steps later — copy it to keep it.  When this is
+            not a synchronisation iteration (τ > 1) or ``alpha == 0`` the
+            replicas receive no corrections, but local updates are still
+            applied and the iteration counter advances.
         """
-        out = validate_step_matrix(self.num_replicas, weights, updates, out)
-        in_place = out is weights
-        if not self.should_synchronise():
-            if updates is not None:
-                np.subtract(weights, updates, out=out)
-            elif not in_place:
-                np.copyto(out, weights)
-            self.iteration += 1
-            self.version += 1
-            return self.center
-        if self.alpha == 0.0:
-            # No-correction mode (τ = ∞ ablation): skip the (k, P) zero-matrix
-            # work but keep the central-model momentum bookkeeping identical.
-            previous = self.center.copy()
-            self.center = self.center + self.config.momentum * (
-                self.center - self._previous_center
+        shape = (self.num_replicas, self.center.size)
+        out = validate_step_matrix(shape, weights, updates, out)
+        synchronise = self.should_synchronise()
+        if synchronise and self.alpha != 0.0:
+            self._blocked_step(
+                weights,
+                updates,
+                out,
+                self.center,
+                self.alpha,
+                previous=self._previous_center,
+                momentum=self.config.momentum,
             )
-            self._previous_center = previous
-            if updates is not None:
-                np.subtract(weights, updates, out=out)
-            elif not in_place:
-                np.copyto(out, weights)
-            self.iteration += 1
-            self.version += 1
-            return self.center
-        corrections = self.backend.correction_matrix(weights, self.center, self.alpha)
-        previous = self.center.copy()
-        total_correction = self.backend.column_sum(corrections)
-        momentum_term = self.config.momentum * (self.center - self._previous_center)
-        self.center = self.center + total_correction + momentum_term
-        self._previous_center = previous
-        if updates is not None:
-            # w ← w − (u + c), matching the trainer's historical association.
-            self.backend.combine_updates(corrections, updates)
-        self.backend.apply_step(weights, corrections, out)
+        else:
+            if synchronise:
+                # No-correction mode (τ = ∞ ablation): skip the (k, P) zero-matrix
+                # work but keep the central-model momentum bookkeeping identical:
+                # z_prev's buffer becomes z + µ (z − z_prev).
+                moved = self._previous_center
+                np.subtract(self.center, moved, out=moved)
+                np.multiply(moved, self.config.momentum, out=moved)
+                np.add(self.center, moved, out=moved)
+            apply_local_updates(weights, updates, out)
+        if synchronise:
+            # The new centre was written into z_prev's buffer; the old one is z_prev now.
+            self.center, self._previous_center = self._previous_center, self.center
         self.iteration += 1
         self.version += 1
         return self.center

@@ -1,16 +1,17 @@
 """Pluggable kernel providers for the dense ``(k, P)`` hot paths.
 
 Crossbow's throughput comes from fusing many small per-learner updates into a
-few large dense operations (§4 of the paper).  Three such operations dominate
-this reproduction's profile:
+few large dense operations (§4 of the paper).  Two of them sit behind this
+module:
 
-* the fused synchronisation step — ``SMA/EASGD.step_matrix`` over the
-  ``(k, P)`` replica bank,
 * the gradient gather — per-parameter gradients copied into one flat
-  ``(k, P)`` update row per learner, and
+  ``(k, P)`` update row per learner (plus the learning-rate row scaling), and
 * the batched evaluation forward — per-layer ``(k, in, out)`` weight stacks
   applied to shared test activations in
   :class:`~repro.serve.pool.BatchedEvaluator`.
+
+The third, the fused synchronisation step (``SMA/EASGD.step_matrix``), is not
+a provider op: it is one cache-blocked kernel in :mod:`repro.optim.step`.
 
 This module puts those operations behind a narrow :class:`KernelBackend`
 protocol and a registry, so the arithmetic can be routed to the best
@@ -23,11 +24,6 @@ implementation available on the host without the callers changing:
   (``np.matmul`` over a leading ``k`` axis) instead of ``k`` separate calls.
   Same floats: a batched GEMM applies the same multiply-accumulate per slice,
   which the provider test suite pins down.
-
-Association-order-sensitive reductions (``corrections.sum(axis=0)``) live in
-exactly one place — :meth:`KernelBackend.column_sum` — which providers MUST
-NOT override; summation order is part of the bit-identity contract between
-serial and multi-process training.
 """
 
 from __future__ import annotations
@@ -69,34 +65,6 @@ class KernelBackend:
     #: one-line description shown in docs and ``available_backends`` listings
     description = "reference NumPy kernels (the arithmetic every provider must match)"
 
-    # -- fused synchronisation step (SMA / EASGD) ----------------------------------------
-    def correction_matrix(
-        self, weights: np.ndarray, center: np.ndarray, coefficient: float
-    ) -> np.ndarray:
-        """``C = coefficient * (W - z)`` — the (k, P) correction block."""
-        return coefficient * (weights - center)
-
-    def column_sum(self, matrix: np.ndarray) -> np.ndarray:
-        """Canonical ``matrix.sum(axis=0)``.
-
-        Summation association order is part of the serial/process bit-identity
-        contract, so every provider shares this single implementation.
-        Providers must NOT override it.
-        """
-        return matrix.sum(axis=0)
-
-    def combine_updates(self, corrections: np.ndarray, updates: np.ndarray) -> np.ndarray:
-        """``corrections += updates`` in place (gradient + correction, Alg. 1 l. 10)."""
-        np.add(corrections, updates, out=corrections)
-        return corrections
-
-    def apply_step(
-        self, weights: np.ndarray, corrections: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``out = weights - corrections`` (supports ``out is weights``)."""
-        np.subtract(weights, corrections, out=out)
-        return out
-
     # -- gradient gather -----------------------------------------------------------------
     def gather(
         self, segments: Iterable[Tuple[Optional[np.ndarray], int]], out: np.ndarray
@@ -104,7 +72,9 @@ class KernelBackend:
         """Gather per-parameter gradient segments into one flat ``P`` row.
 
         ``segments`` yields ``(gradient_or_None, size)`` in parameter order;
-        ``None`` gathers zeros (a parameter that received no gradient).
+        ``None`` gathers zeros (a parameter that received no gradient).  Every
+        operator returns its parameter gradients C-contiguous, so each copy
+        is a straight memcpy.
         """
         offset = 0
         for gradient, size in segments:

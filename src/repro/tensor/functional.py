@@ -156,9 +156,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _MatMul.apply(a, b)
 
 
+class _LinearProduct(Function):
+    """``x @ W.T`` with the weight gradient in ``W``'s own layout.
+
+    Built as ``matmul(x, transpose(W))`` the weight gradient would come back
+    as the transpose of ``x.T @ grad``: an F-ordered view whose flattening
+    into the replica bank is a cache-hostile transposed copy.  ``grad.T @ x``
+    holds the same dot products over the batch, laid out C-contiguous in
+    ``(out, in)``, so the gather is a memcpy.  Any leading dimensions of
+    ``x`` are folded into that batch.  The two forms hand BLAS opposite
+    transpose flags.  Their floats match on the OpenBLAS that NumPy 2.4's
+    wheels bundle (the tests compare them exactly), but that is observed,
+    not guaranteed: another BLAS build or CPU may order the batch sum
+    differently.
+    """
+
+    def forward(self, x, weight):
+        if x.ndim < 1 or weight.ndim != 2:
+            raise ShapeError("linear requires an input of at least 1-d and a 2-d weight")
+        self.save_for_backward(x, weight)
+        return x @ weight.T
+
+    def backward(self, grad):
+        x, weight = self.saved
+        fan_out, fan_in = weight.shape
+        # A first layer reads raw inputs: nothing upstream wants grad_x.
+        grad_x = grad @ weight if self.parents[0].requires_grad else None
+        return grad_x, grad.reshape(-1, fan_out).T @ x.reshape(-1, fan_in)
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``x @ weight.T + bias`` (PyTorch weight layout)."""
-    out = matmul(x, transpose(weight))
+    out = _LinearProduct.apply(x, weight)
     if bias is not None:
         out = add(out, bias)
     return out

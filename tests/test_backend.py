@@ -1,11 +1,12 @@
 """Tests for the pluggable kernel backend and probe-driven mode selection.
 
 The backend contract is bit-identity: every registered provider must produce
-the exact floats of the ``numpy`` reference on the three dense hot paths
-(fused ``step_matrix``, gradient gather, batched evaluation forward).  These
-tests pin that contract down per provider and per operation, then cover the
-registry semantics (unknown names, duplicate registration) and the
-``execution="auto"`` calibration probe.
+the exact floats of the ``numpy`` reference on its dense hot paths (gradient
+gather and update-row scaling, batched evaluation forward), and the trainer's
+sync section built on them -- ``scale_rows`` then the fused ``step_matrix`` --
+must match the per-replica Algorithm 1.  These tests pin that contract down
+per provider and per operation, then cover the registry semantics (unknown
+names, duplicate registration) and the ``execution="auto"`` calibration probe.
 """
 
 from __future__ import annotations
@@ -38,6 +39,25 @@ PROVIDERS = available_backends()
 def _bank(k, p, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((k, p)).astype(np.float32)
+
+
+def _sync_section_matches_per_replica_loop(provider, make_sync, k, p, seed):
+    """``provider.scale_rows`` + fused ``step_matrix`` == Algorithm 1 one replica at a time."""
+    backend = get_backend(provider)
+    initial = _bank(1, p, seed=seed)[0]
+    fused, oracle = make_sync(initial), make_sync(initial)
+    weights = initial + 0.1 * _bank(k, p, seed=seed + 1)
+    replicas = list(weights.copy())
+    for step in range(4):
+        gradients = _bank(k, p, seed=seed + 10 + step)
+        updates = backend.scale_rows(gradients.copy(), 0.05)
+        fused.step_matrix(weights, updates)
+        corrections = [oracle.correction(w) for w in replicas]
+        scaled = [g * np.float32(0.05) for g in gradients]
+        replicas = [w - (u + c) for w, u, c in zip(replicas, scaled, corrections)]
+        oracle.apply_corrections(corrections)
+    np.testing.assert_array_equal(weights, np.stack(replicas))
+    np.testing.assert_array_equal(fused.center, oracle.center)
 
 
 # ----------------------------------------------------------------------- registry
@@ -78,32 +98,14 @@ class TestRegistry:
 @pytest.mark.parametrize("k", [1, 4, 16])
 class TestProviderBitIdentity:
     def test_sma_step_matrix(self, provider, k):
-        p = 257
-        initial = _bank(1, p, seed=1)[0]
-        reference = SMA(initial, num_replicas=k, backend="numpy")
-        candidate = SMA(initial, num_replicas=k, backend=provider)
-        weights_a = np.tile(initial, (k, 1))
-        weights_b = weights_a.copy()
-        for step in range(4):
-            updates = _bank(k, p, seed=10 + step)
-            reference.step_matrix(weights_a, updates.copy())
-            candidate.step_matrix(weights_b, updates.copy())
-        np.testing.assert_array_equal(weights_a, weights_b)
-        np.testing.assert_array_equal(reference.center, candidate.center)
+        _sync_section_matches_per_replica_loop(
+            provider, lambda z: SMA(z, num_replicas=k), k, p=257, seed=1
+        )
 
     def test_easgd_step_matrix(self, provider, k):
-        p = 129
-        initial = _bank(1, p, seed=2)[0]
-        reference = EASGD(initial, num_replicas=k, backend="numpy")
-        candidate = EASGD(initial, num_replicas=k, backend=provider)
-        weights_a = np.tile(initial, (k, 1))
-        weights_b = weights_a.copy()
-        for step in range(4):
-            updates = _bank(k, p, seed=20 + step)
-            reference.step_matrix(weights_a, updates.copy())
-            candidate.step_matrix(weights_b, updates.copy())
-        np.testing.assert_array_equal(weights_a, weights_b)
-        np.testing.assert_array_equal(reference.center, candidate.center)
+        _sync_section_matches_per_replica_loop(
+            provider, lambda z: EASGD(z, num_replicas=k), k, p=129, seed=2
+        )
 
     def test_gradient_gather(self, provider, k):
         model = create_model("mlp", rng=RandomState(3), input_dim=8, num_classes=4)

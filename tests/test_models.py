@@ -72,6 +72,41 @@ class TestArchitectures:
         assert any(np.abs(g).max() > 0 for g in grads)
 
 
+#: every registered model with a training input; the paper-size configurations
+#: keep their layer types at a fraction of the width
+_ZOO = {
+    "mlp": ({}, (4, 32)),
+    "lenet": ({"width_multiplier": 0.25}, (2, 1, 28, 28)),
+    "lenet-scaled": ({}, (2, 1, 12, 12)),
+    "resnet32": ({"width_multiplier": 0.25, "blocks_per_stage": 1}, (2, 3, 8, 8)),
+    "resnet32-scaled": ({}, (2, 3, 8, 8)),
+    "resnet50": ({"width_multiplier": 0.125, "stage_blocks": (1, 1, 1, 1)}, (2, 3, 32, 32)),
+    "resnet50-scaled": ({}, (2, 3, 32, 32)),
+    "vgg16": ({"width_multiplier": 0.0625}, (2, 3, 32, 32)),
+    "vgg16-scaled": ({}, (2, 3, 16, 16)),
+}
+
+
+class TestGradientLayout:
+    """The gradient gather is a memcpy only if every ``.grad`` is C-contiguous."""
+
+    def test_zoo_covers_every_registered_model(self):
+        assert set(_ZOO) == set(model_names())
+
+    @pytest.mark.parametrize("name", sorted(_ZOO))
+    def test_parameter_gradients_are_c_contiguous(self, name):
+        from repro.tensor import functional as F
+
+        overrides, shape = _ZOO[name]
+        model = create_model(name, rng=RandomState(5), **overrides)
+        x = Tensor(rng.normal(size=shape).astype(np.float32))
+        logits = model(x)
+        F.cross_entropy(logits, rng.integers(0, logits.shape[1], size=shape[0])).backward()
+        for param_name, param in model.named_parameters():
+            assert param.grad is not None, param_name
+            assert param.grad.flags.c_contiguous, param_name
+
+
 class TestTable1Sizes:
     """Model sizes reported in Table 1 of the paper (in MB, float32 weights)."""
 

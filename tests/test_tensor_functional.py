@@ -307,6 +307,74 @@ class TestDeadInputGradient:
         np.testing.assert_array_equal(dead_w, live_w)
 
 
+class TestLinearProduct:
+    """``F.linear``'s product against the ``matmul(x, transpose(W))`` graph it replaced.
+
+    The exact comparison holds on the OpenBLAS bundled with NumPy 2.4's
+    wheels (0.3.31).  The two graphs hand
+    BLAS opposite transpose flags, so a different BLAS build or CPU may pick
+    kernels that sum the batch in another order; a failure there is a BLAS
+    difference, not a logic error in ``_LinearProduct``.
+    """
+
+    @pytest.mark.parametrize("input_requires_grad", [True, False], ids=["hidden", "first"])
+    @pytest.mark.parametrize(
+        "batch,fan_in,fan_out",
+        [
+            # the benchmark MLP's four layers, then odd shapes
+            (32, 256, 1024),
+            (32, 1024, 1024),
+            (32, 1024, 512),
+            (32, 512, 10),
+            (7, 13, 5),
+            (1, 3, 2),
+            (33, 257, 129),
+            (5, 1, 1),
+        ],
+    )
+    def test_bit_identical_to_the_transposed_matmul_graph(
+        self, batch, fan_in, fan_out, input_requires_grad
+    ):
+        x_data = rng.normal(size=(batch, fan_in)).astype(np.float32)
+        w_data = rng.normal(size=(fan_out, fan_in)).astype(np.float32)
+        b_data = rng.normal(size=(fan_out,)).astype(np.float32)
+        grad_out = rng.normal(size=(batch, fan_out)).astype(np.float32)
+
+        def run(affine):
+            x = Tensor(x_data, requires_grad=input_requires_grad)
+            w, b = Tensor(w_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+            out = affine(x, w, b)
+            out.backward(grad_out)
+            return out.data, x.grad, w.grad, b.grad
+
+        new = run(F.linear)
+        old = run(lambda x, w, b: F.add(F.matmul(x, F.transpose(w)), b))
+        for fresh, reference in zip(new, old):
+            if reference is None:
+                assert fresh is None
+            else:
+                np.testing.assert_array_equal(fresh, reference)
+        # The point of the product: the weight gradient lands in W's own layout.
+        assert new[2].flags.c_contiguous
+        assert input_requires_grad == (new[1] is not None)
+
+    def test_gradcheck(self):
+        x, w, b = _leaf((4, 5)), _leaf((3, 5)), _leaf((3,))
+        assert gradcheck(F.linear, [x, w, b])
+
+    def test_batched_input_gradcheck_and_weight_gradient_layout(self):
+        x, w, b = _leaf((2, 4, 5)), _leaf((3, 5)), _leaf((3,))
+        assert F.linear(x, w, b).shape == (2, 4, 3)
+        assert gradcheck(F.linear, [x, w, b])
+        # gradcheck leaves the analytic gradient of its one backward in .grad
+        assert w.grad.shape == (3, 5)
+        assert w.grad.flags.c_contiguous
+
+    def test_weight_must_be_2d(self):
+        with pytest.raises(ShapeError):
+            F.linear(_leaf((4, 5)), _leaf((5,)))
+
+
 def test_conv_lowering_has_no_scatter_ufunc_and_no_einsum_path_search():
     """ROADMAP item 1's counted witness: ``np.add.at`` (the unbuffered scatter)
     and ``einsum(..., optimize=...)`` (a contraction-path search per call) must
