@@ -46,13 +46,15 @@ without any pickling of weights.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import queue as queue_module
+import select
 import time
 import traceback
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,36 +83,6 @@ def _fork_context() -> Any:
             "(POSIX only); use execution='serial' on this platform"
         )
     return multiprocessing.get_context("fork")
-
-
-def wait_for_result(
-    results: Any,
-    processes: Sequence[Any],
-    deadline: float,
-    what: str = "worker results",
-) -> Any:
-    """One payload from a worker result queue, failing fast on dead workers.
-
-    Polls ``results`` (a ``multiprocessing.Queue``) until ``deadline``
-    (a ``time.monotonic`` instant), checking worker liveness between polls so
-    a crashed worker surfaces as a :class:`~repro.errors.SchedulingError`
-    with a useful message instead of an indefinite block.  Shared by the
-    learner :class:`WorkerPool` and the off-path evaluator worker of
-    :mod:`repro.serve.evaluation`.
-    """
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise SchedulingError(f"timed out waiting for {what}")
-        try:
-            return results.get(timeout=min(remaining, 1.0))
-        except queue_module.Empty:
-            dead = [p.name for p in processes if not p.is_alive()]
-            if dead:
-                raise SchedulingError(
-                    f"worker process(es) {dead} died without reporting a result "
-                    "(see the worker's stderr for the original error)"
-                ) from None
 
 
 def _release_segment(segment: shared_memory.SharedMemory) -> None:
@@ -339,6 +311,14 @@ class _ProcessHandle:
     commands: Any = None  # per-worker command queue (None: the pool wakes workers another way)
 
 
+class PoolEvents(NamedTuple):
+    """What one :meth:`ForkedWorkerPool.wait` found ready (all false: it timed out)."""
+
+    result: bool  # the results queue holds a payload
+    exited: bool  # a worker process has exited
+    fds: List[Any]  # the caller's extra waitables that are readable
+
+
 class ForkedWorkerPool:
     """Fork/result/stop machinery shared by persistent worker pools.
 
@@ -347,16 +327,17 @@ class ForkedWorkerPool:
     serving plane's :class:`repro.serve.pool.EvaluatorPool` publishes
     checkpoints into a shared-memory slot ring its workers claim — but they
     share everything else: one ``fork`` start context, one common results
-    queue drained with dead-worker detection (:func:`wait_for_result`), and
-    the stop/join/terminate shutdown protocol.  Subclasses append
+    queue, one event wait over that queue and the workers' lives
+    (:meth:`wait`, and :meth:`wait_for_result` built on it), and the
+    stop/join/terminate shutdown protocol.  Subclasses append
     :class:`_ProcessHandle` (or a subclass of it) entries to ``_handles`` for
     every worker they :meth:`_fork`.
     """
 
     def __init__(self) -> None:
         self._ctx = _fork_context()
-        # A full Queue (not SimpleQueue) so result waits can poll with a
-        # timeout and notice dead workers instead of blocking forever.
+        # A full Queue (not SimpleQueue): its reader end is a waitable
+        # connection, so result waits can also watch the worker sentinels.
         self._results = self._ctx.Queue()
         self._handles: List[Any] = []
         self._stopped = False
@@ -374,9 +355,65 @@ class ForkedWorkerPool:
         process.start()
         return process
 
-    def _wait_result(self, deadline: float, what: str) -> Any:
-        """One result payload, failing fast when a worker process died."""
-        return wait_for_result(self._results, self._processes(), deadline, what=what)
+    def wait(
+        self, timeout: Optional[float], fds: Sequence[Any] = (), watch: bool = True
+    ) -> PoolEvents:
+        """Block until a result is readable, a worker exits, one of ``fds`` is
+        readable, or ``timeout`` seconds pass (``None``: no limit).
+
+        One ``select`` over the results queue's reader, every worker's
+        process sentinel (readable once the process has exited) and ``fds``.
+        This is the only code that touches the queue's reader.
+        ``watch=False`` waits on ``fds`` alone: a caller with no result
+        outstanding must not spin on an exited worker.
+
+        ``select`` rather than ``multiprocessing.connection.wait`` for its
+        microsecond timeout: the latter polls, and ``poll`` rounds the
+        timeout up to whole milliseconds, which stretches a serving loop's
+        2 ms coalescing window by up to half.  A descriptor past
+        ``FD_SETSIZE`` (a process with over 1 024 open files) falls back to
+        the millisecond wait.
+        """
+        reader = self._results._reader
+        sentinels = [handle.process.sentinel for handle in self._handles] if watch else []
+        waitables = [reader, *sentinels, *fds] if watch else list(fds)
+        timeout = None if timeout is None else max(0.0, timeout)
+        try:
+            ready = select.select(waitables, [], [], timeout)[0]
+        except ValueError:  # a descriptor select() cannot hold
+            ready = multiprocessing.connection.wait(waitables, timeout)
+        return PoolEvents(
+            result=reader in ready,
+            exited=any(sentinel in ready for sentinel in sentinels),
+            fds=[fd for fd in fds if fd in ready],
+        )
+
+    def wait_for_result(self, deadline: float, what: str = "worker results") -> Any:
+        """One payload from the results queue, failing as soon as a worker dies.
+
+        Waits (:meth:`wait`) until ``deadline``, a ``time.monotonic``
+        instant.  A worker's exit wakes the wait at once, so a crash surfaces
+        as a :class:`~repro.errors.SchedulingError` when it happens instead of
+        an indefinite block.  A readable result is returned even when a
+        worker has exited too: it may be that worker's last word (an error
+        traceback).
+        """
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise SchedulingError(f"timed out waiting for {what}")
+            events = self.wait(remaining)
+            if events.result:
+                try:
+                    return self._results.get_nowait()
+                except queue_module.Empty:  # pragma: no cover - readable pipe, no message
+                    continue
+            if events.exited:
+                dead = [p.name for p in self._processes() if not p.is_alive()]
+                raise SchedulingError(
+                    f"worker process(es) {dead} died without reporting a result "
+                    "(see the worker's stderr for the original error)"
+                )
 
     def _request_stop(self) -> None:
         """Hook: wake workers that do not block on a per-worker command queue."""
@@ -522,7 +559,7 @@ class WorkerPool(ForkedWorkerPool):
         received = 0
         deadline = time.monotonic() + _RESULT_TIMEOUT_S
         while received < self.num_workers:
-            index, payload, error = self._wait_result(
+            index, payload, error = self.wait_for_result(
                 deadline,
                 what=f"{self.num_workers - received} of {self.num_workers} worker results",
             )

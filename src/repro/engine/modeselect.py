@@ -15,7 +15,10 @@ calibration probe on first use:
 The result is cached per host in the telemetry store (bench
 ``modeselect_probe/<host>``), so repeated trainer constructions — and repeated
 CI runs against a persisted store — reuse the measurement instead of paying
-the probe again.  :func:`recommend` maps a probe to a concrete
+the probe again.  The row records the step kernel it timed
+(:data:`~repro.optim.step.STEP_KERNEL_VERSION`); a row from another kernel,
+or from before rows carried one, is a miss and the host is probed afresh.
+:func:`recommend` maps a probe to a concrete
 ``(execution, pipeline_depth)`` pair:
 
 * 1 core (or no POSIX fork) → ``("serial", 0)`` — by construction, fixing the
@@ -37,6 +40,7 @@ import numpy as np
 from repro.engine.config import CrossbowConfig
 from repro.engine.executor import process_execution_supported
 from repro.optim.sma import SMA
+from repro.optim.step import STEP_KERNEL_VERSION
 from repro.telemetry.runtime import host_name
 from repro.telemetry.store import TelemetryStore, default_db_path
 from repro.utils.logging import get_logger
@@ -163,10 +167,18 @@ def _load_cached(store: TelemetryStore, host: str) -> Optional[ProbeResult]:
     bench = _probe_bench_name(host)
     history = {
         metric: store.bench_history(bench, row_index=0, metric=metric, last_n=1)
-        for metric in ("cores", "fused_step_ms", "worker_roundtrip_ms", "pipeline_depth")
+        for metric in (
+            "cores",
+            "fused_step_ms",
+            "worker_roundtrip_ms",
+            "pipeline_depth",
+            "step_kernel_version",
+        )
     }
     if any(not values for values in history.values()):
         return None
+    if int(history["step_kernel_version"][0][1]) != STEP_KERNEL_VERSION:
+        return None  # timed against another step kernel: measure again
     cores = int(history["cores"][0][1])
     fused_step_ms = float(history["fused_step_ms"][0][1])
     worker_roundtrip_ms = float(history["worker_roundtrip_ms"][0][1])
@@ -228,6 +240,7 @@ def probe_host(store: Optional[TelemetryStore] = None, force: bool = False) -> P
                     "worker_roundtrip_ms": round(worker_roundtrip_ms, 6),
                     "execution": execution,
                     "pipeline_depth": pipeline_depth,
+                    "step_kernel_version": STEP_KERNEL_VERSION,
                 }
             ],
         )

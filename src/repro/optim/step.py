@@ -29,6 +29,11 @@ from repro.errors import ConfigurationError
 #: of the step runs over the block.
 STEP_CACHE_BYTES = 256 * 1024
 
+#: Bumped whenever the step kernel's speed changes (1: whole-bank passes,
+#: 2: :class:`BlockedStep`).  Cached step timings, such as the execution-mode
+#: probe's, are re-measured when theirs differs.
+STEP_KERNEL_VERSION = 2
+
 
 def block_columns(num_replicas: int) -> int:
     """Columns per block: a ``(k, block)`` float32 tile fills :data:`STEP_CACHE_BYTES`."""

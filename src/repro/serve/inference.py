@@ -60,6 +60,11 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("serve.inference")
 
+#: why the serving loop's idle wait ended: a pool response became readable, a
+#: request was admitted, the coalescing window (or the wait's cap) ran out, a
+#: pool worker exited, or :meth:`InferenceServer.stop` was called
+WAKE_CAUSES = ("result", "arrival", "timer", "worker_exit", "stop")
+
 
 @dataclass
 class _Request:
@@ -164,7 +169,9 @@ class InferenceServer:
     logits array for that request's samples; ``predict`` is the blocking
     convenience wrapper.  Exceptions in the serving loop — and admission
     refusals — fail the affected requests' futures, never the server thread
-    silently.
+    silently.  :attr:`wakeups` counts the loop's idle waits by what ended
+    them (:data:`WAKE_CAUSES`); :meth:`stop` snapshots them, beside the
+    admission counters, as ``serve.wakeups`` counters labelled ``cause``.
     """
 
     def __init__(
@@ -191,6 +198,8 @@ class InferenceServer:
         self.default_deadline_ms = default_deadline_ms
         self.served_version: Optional[int] = None
         self.stats = ServingStats()
+        #: idle waits of the serving loop by what ended them (since construction)
+        self.wakeups: Dict[str, int] = dict.fromkeys(WAKE_CAUSES, 0)
         # The core's own deque: everything admitted and not yet taken for a
         # forward pass.  Touched, like the core, only under ``_wakeup``.
         self._pending = self._core.queue
@@ -229,17 +238,19 @@ class InferenceServer:
             return
         self._stop.set()
         with self._wakeup:
-            self._wakeup.notify_all()
+            self._notify_loop()
         self._thread.join(timeout=30.0)
         self._thread = None
         self.stats.finished_at = time.perf_counter()
         # Snapshot the admission counters for the telemetry plane: queryable
         # per-run history (queue-depth percentiles are the serving
-        # auto-scaler's load signal).
+        # auto-scaler's load signal), and why the loop woke.
         recorder = get_recorder()
         if recorder.enabled:
             for key, value in self.counters.summary().items():
                 recorder.counter(f"serve.{key}", float(value))
+            for cause, count in self.wakeups.items():
+                recorder.counter("serve.wakeups", float(count), cause=cause)
         with self._wakeup:
             abandoned = self._core.drain()
         for request in abandoned:
@@ -285,7 +296,7 @@ class InferenceServer:
         with self._wakeup:
             refused = self._core.admit(request)
             if refused is not request:
-                self._wakeup.notify()
+                self._notify_loop()
         # Futures are failed outside the lock: a done-callback must not run
         # while the admission lock is held (it could block the serving loop).
         if refused is request:
@@ -313,21 +324,35 @@ class InferenceServer:
         return self.submit(images, deadline_ms=deadline_ms).result(timeout=timeout)
 
     # -- serving loop ------------------------------------------------------------------
-    def _idle(self) -> None:
-        """Once-per-turn hook, run outside the lock before the loop asks for a batch."""
+    def _notify_loop(self) -> None:
+        """Wake the serving loop's idle wait; called holding the admission lock."""
+        self._wakeup.notify()
+
+    def _wait_for_work(self, wake_at: Optional[float], now: float) -> str:
+        """The loop's idle wait: block until a batch may be ripe, return why it woke.
+
+        Called holding the admission lock when :meth:`BatchingCore.next_batch`
+        found nothing ripe; ``wake_at`` is the coalescing window's end (``None``:
+        nothing queued).  Returns one of :data:`WAKE_CAUSES`.  The in-process
+        server waits on the condition :meth:`submit` notifies under, so a
+        request admitted after ``next_batch`` looked cannot be slept through;
+        the 10 ms cap bounds how long a :meth:`stop` racing the loop's flag
+        check goes unseen.
+        """
+        pause = 0.01 if wake_at is None else wake_at - now
+        notified = self._wakeup.wait(min(0.01, pause))
+        if self._stop.is_set():
+            return "stop"
+        return "arrival" if notified else "timer"
 
     def _serve_loop(self) -> None:
+        """Take ripe batches and run them; otherwise idle in :meth:`_wait_for_work`."""
         while not self._stop.is_set():
-            self._idle()
             with self._wakeup:
                 now = time.perf_counter()
                 decision = self._core.next_batch(now)
                 if not decision.batch and not decision.expired:
-                    # Waiting under the lock submit() notifies under: a request
-                    # admitted after next_batch() looked cannot be slept through.
-                    # The 10 ms cap is the idle turn (stop flag, _idle hook).
-                    pause = 0.01 if decision.wake_at is None else decision.wake_at - now
-                    self._wakeup.wait(min(0.01, pause))
+                    self.wakeups[self._wait_for_work(decision.wake_at, now)] += 1
                     continue
             for request in decision.expired:
                 request.fail(

@@ -19,7 +19,8 @@ worker computes from it.
 
 * :class:`RingPool` — the :class:`~repro.engine.executor.ForkedWorkerPool`
   around one ring: pre-fork construction, blocking publish with dead-worker
-  detection and rollback, the result-collect loop, in-place resize by
+  detection and rollback, the result-collect loop (its blocking wait wakes on
+  a result or a worker's exit, whichever comes first), in-place resize by
   parking/resuming workers, and the cooperative and forcible shutdown paths.
   All workers run the one :func:`_ring_worker_main` loop.
 
@@ -375,7 +376,7 @@ class RingPool(ForkedWorkerPool):
         """
         while self.in_flight:
             if block:
-                payload = self._wait_result(
+                payload = self.wait_for_result(
                     time.monotonic() + self.result_timeout_s, what=f"an {self.role} result"
                 )
                 block = False

@@ -57,9 +57,11 @@ history CI and the report CLI read, not ad-hoc in-process state.
 from __future__ import annotations
 
 import itertools
+import os
 import sqlite3
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -81,6 +83,11 @@ logger = get_logger("serve.scaling")
 
 #: one pool response: (ticket, logits, error-traceback-or-None)
 PoolResult = Tuple[int, Optional[np.ndarray], Optional[str]]
+
+
+def _close_fds(*fds: int) -> None:
+    for fd in fds:
+        os.close(fd)
 
 
 class InferencePool(RingPool):
@@ -202,9 +209,14 @@ class PooledInferenceServer(InferenceServer):
     micro-batch coalescing, :class:`~repro.serve.batching.ServeCounters` —
     so every conservation identity the scenario harness asserts for the
     in-process server holds here too.  A formed batch is published to the
-    pool under a fresh ticket instead of running inline; the serving loop
-    opportunistically drains responses (and a final drain runs at
-    :meth:`stop`), resolving each ticket's futures exactly once.
+    pool under a fresh ticket instead of running inline.  With nothing ripe,
+    the inherited loop blocks in one event wait
+    (:meth:`~repro.engine.executor.ForkedWorkerPool.wait`) on the pool's
+    result pipe, its workers' sentinels and a wake pipe that :meth:`submit`
+    and :meth:`stop` write, with the coalescing window's end as the timeout.
+    A readable result is resolved when it lands, a worker's exit starts a
+    recovery at once, and a final drain runs at :meth:`stop`; each ticket's
+    futures resolve exactly once.
 
     Parameters beyond the :class:`InferenceServer` ones
     --------------------------------------------------
@@ -269,6 +281,12 @@ class PooledInferenceServer(InferenceServer):
         # self.model already carries the checkpoint (applied by the base
         # constructor), so the workers fork with the served snapshot.
         self._pool = self._build_pool(workers)
+        # The idle wait watches this pipe beside the pool's own waitables;
+        # submit() and stop() write a byte (non-blocking both ways).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._close_wake_pipe = weakref.finalize(self, _close_fds, self._wake_r, self._wake_w)
 
     def _build_pool(self, active: int) -> InferencePool:
         return InferencePool(
@@ -312,9 +330,53 @@ class PooledInferenceServer(InferenceServer):
                 return target
             return self._pool.resize(target)
 
+    # -- serving loop (overrides) ---------------------------------------------------------
+    def _notify_loop(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full: a wake-up is already pending
+
+    def _wait_for_work(self, wake_at: Optional[float], now: float) -> str:
+        # The wake pipe, not the condition, carries submit()'s news, so the
+        # admission lock is free while the loop blocks, and resolved futures
+        # run their callers' done-callbacks outside it.
+        self._wakeup.release()
+        try:
+            return self._await_pool(None if wake_at is None else wake_at - now)
+        finally:
+            self._wakeup.acquire()
+
+    def _await_pool(self, timeout: Optional[float]) -> str:
+        """Wait up to ``timeout`` for the pool or the wake pipe, act on what is
+        ready, and return the wake cause.
+
+        The pool's reader and sentinels are watched only while tickets are in
+        flight: with none, nothing can arrive, and a dead worker is noticed
+        when the next publish puts a ticket in flight — not by spinning on its
+        sentinel (as a pool left dead after ``max_recoveries`` would).
+        """
+        events = self._pool.wait(timeout, fds=(self._wake_r,), watch=bool(self._inflight))
+        if events.result:
+            self._drain()
+        if events.exited:
+            self._handle_pool_failure()
+        # Cleared after the drain: requests that resolved futures' callbacks
+        # submitted are already queued, so their bytes carry no news.
+        try:
+            os.read(self._wake_r, 65536)
+        except BlockingIOError:
+            pass
+        if self._stop.is_set():
+            return "stop"
+        if events.exited:
+            return "worker_exit"
+        if events.result:
+            return "result"
+        return "arrival" if events.fds else "timer"
+
     # -- batch execution (overrides) -----------------------------------------------------
     def _run_batch(self, batch: List[_Request]) -> None:
-        self._drain(block=False)
         total = sum(request.size for request in batch)
         if total > self._pool.max_batch_samples:
             # A single request above max_batch_size: the coalescing loop only
@@ -322,6 +384,10 @@ class PooledInferenceServer(InferenceServer):
             # the inherited in-process path serves exactly.
             super()._run_batch(batch)
             return
+        if self._inflight:
+            # Under a backlog the loop never idles; resolve responses that are
+            # already readable now rather than when the queue next empties.
+            self._await_pool(0.0)
         images = _stack(batch)
         ticket = next(self._tickets)
         try:
@@ -336,26 +402,19 @@ class PooledInferenceServer(InferenceServer):
             return
         self._inflight[ticket] = batch
 
-    def _idle(self) -> None:
-        # The serving loop turns at least every 10 ms; piggyback response
-        # draining on that cadence so no extra thread exists in this module
-        # (scaling.py holds the pool's fork sites — R3 rejects modules that
-        # both fork and start threads).
-        if self._inflight:
-            self._drain(block=False)
-
     # -- response path -------------------------------------------------------------------
-    def _drain(self, block: bool) -> bool:
-        """Collect pool responses and resolve their futures; True if any resolved."""
+    def _drain(self, block: bool = False) -> bool:
+        """Collect pool responses and resolve their futures; True if any resolved.
+
+        A blocking drain wakes on a worker's exit as well as on a result; a
+        dead pool is then recovered (True: the in-flight table changed).
+        """
         try:
             payloads = self._pool.collect(block=block)
         except SchedulingError:
             self._handle_pool_failure()
             return True
         self._resolve(payloads)
-        if self._inflight and self._pool.dead_workers():
-            self._handle_pool_failure()
-            return True
         return bool(payloads)
 
     def _resolve(self, payloads: List[PoolResult]) -> None:
@@ -434,6 +493,7 @@ class PooledInferenceServer(InferenceServer):
         """Stop serving and release the pool (terminal; ``stop`` alone can restart)."""
         self.stop()
         self._pool.close()
+        self._close_wake_pipe()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()

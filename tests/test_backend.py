@@ -30,6 +30,7 @@ from repro.tensor.backend import (
     resolve_backend,
 )
 from repro.tensor.functional import _im2col
+from repro.telemetry.runtime import host_name
 from repro.telemetry.store import TelemetryStore
 from repro.utils.rng import RandomState
 
@@ -228,6 +229,36 @@ class TestModeSelection:
                 first.execution,
                 first.pipeline_depth,
             )
+        finally:
+            store.close()
+
+    def test_row_without_the_step_kernel_version_is_re_probed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(modeselect, "cpu_count", lambda: 1)
+        monkeypatch.setattr(modeselect, "_time_fused_step", lambda: 2.5)
+        store = TelemetryStore(tmp_path / "telemetry.sqlite")
+        try:
+            host = host_name()
+            # A row as probes wrote it before they recorded the step kernel,
+            # timed against the old, slower step.
+            store.record_run("unversioned-probe", started_at=1.0)
+            store.insert_bench_rows(
+                f"modeselect_probe/{host}",
+                [
+                    {
+                        "host": host,
+                        "cores": 1,
+                        "fused_step_ms": 15.9,
+                        "worker_roundtrip_ms": -1.0,
+                        "execution": "serial",
+                        "pipeline_depth": 0,
+                    }
+                ],
+                run_id="unversioned-probe",
+            )
+            fresh = modeselect.probe_host(store=store)
+            assert not fresh.cached and fresh.fused_step_ms == 2.5
+            again = modeselect.probe_host(store=store)
+            assert again.cached and again.fused_step_ms == 2.5
         finally:
             store.close()
 

@@ -7,11 +7,14 @@ Four layers, mirroring ``repro.serve.scaling``:
 * ``load_signal`` — the pivot query the scaler feeds on, pinned against a
   synthetic history;
 * ``InferencePool`` — slot-ring round trips, in-place resize (no respawn:
-  the worker PIDs never change), validation;
+  the worker PIDs never change), validation, and a blocking collect that
+  sees a killed worker at once;
 * the pooled server end to end — fixed-seed single-worker bit-identity with
   the in-process ``InferenceServer``, counter conservation and exactly-once
   delivery across mid-stream resizes, a worker killed mid-scale under
-  ``REPRO_SHM_SANITIZE=1``, and the closed control loop: a flash-crowd
+  ``REPRO_SHM_SANITIZE=1``, the event-driven loop (a closed loop never
+  collects an empty pipe; a killed pool wakes the loop with no new submit;
+  a backlog does not hold responses back), and the closed control loop: a flash-crowd
   replay forces a grow and the slow-drain tail forces a shrink, with the
   load signal read from ``repro.telemetry.queries`` rather than in-process
   state, and SLO verdicts flipping from fail to pass once the pool scales.
@@ -19,6 +22,12 @@ Four layers, mirroring ``repro.serve.scaling``:
 
 from __future__ import annotations
 
+import collections
+import fcntl
+import functools
+import os
+import resource
+import threading
 import time
 
 import numpy as np
@@ -26,7 +35,7 @@ import pytest
 
 from repro.engine import process_execution_supported
 from repro.engine.autotuner import AutoTunerDecision
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.models import create_model
 from repro.nn.module import Module
 from repro.scenarios import FlashCrowdTrace, ScenarioRunner, SlowDrainTrace, SLOSpec
@@ -276,6 +285,45 @@ class TestInferencePool:
             (ticket, logits, error) = pool.collect(block=True)[0]
             assert ticket == 0 and error is None and logits is not None
 
+    def test_blocking_collect_sees_a_killed_worker_at_once(self):
+        """The result wait watches the worker's sentinel, not a 1 s poll."""
+        model = _SlowModel(_model(), delay_s=30.0)
+        with InferencePool(model, sample_shape=(INPUT_DIM,), workers=1) as pool:
+            pool.publish(0, np.zeros((1, INPUT_DIM), dtype=np.float32))
+            (worker,) = pool._processes()
+            killed_at = []
+
+            def kill() -> None:
+                killed_at.append(time.monotonic())
+                worker.kill()  # SIGKILL, mid-forward
+
+            timer = threading.Timer(0.2, kill)
+            timer.start()
+            with pytest.raises(SchedulingError, match="died"):
+                pool.collect(block=True)
+            raised_at = time.monotonic()
+            timer.join()
+        assert raised_at - killed_at[0] < 0.5
+
+    def test_wait_takes_a_descriptor_select_cannot_hold(self):
+        """A caller fd at or past FD_SETSIZE (1 024) is waited on all the same."""
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= 1100:
+            pytest.skip("the open-files limit keeps descriptors below 1 100")
+        read_end, write_end = os.pipe()
+        high = fcntl.fcntl(read_end, fcntl.F_DUPFD, 1100)  # lowest free fd >= 1100
+        try:
+            with InferencePool(_model(), sample_shape=(INPUT_DIM,), workers=1) as pool:
+                assert pool.wait(0.0, fds=(high,)) == (False, False, [])
+                os.write(write_end, b"\0")
+                assert pool.wait(5.0, fds=(high,)).fds == [high]
+                os.read(read_end, 1)
+                pool.publish(0, np.zeros((1, INPUT_DIM), dtype=np.float32))
+                assert pool.wait(5.0, fds=(high,)) == (True, False, [])
+                assert pool.collect()[0][0] == 0
+        finally:
+            for fd in (high, read_end, write_end):
+                os.close(fd)
+
 
 # ------------------------------------------------------------------- pooled server
 @needs_fork
@@ -364,6 +412,149 @@ class TestPooledInferenceServer:
         assert counters.accepted == (
             server.stats.requests + counters.shed + counters.deadline_missed
         )
+
+    def test_closed_loop_never_collects_an_empty_pipe(self, monkeypatch, recorder):
+        """64 requests stay in flight until 2 000 complete.  The loop collects
+        only when a response is readable, so no collect comes back empty and
+        there are no more collects than publishes; the loop's idle waits are
+        mostly ended by a result, and every wait has exactly one cause."""
+        calls = collections.Counter()
+        collect, publish = InferencePool.collect, InferencePool.publish
+
+        def counted_collect(pool, block=False):
+            payloads = collect(pool, block=block)
+            calls["collect"] += 1
+            calls["empty"] += not payloads
+            return payloads
+
+        def counted_publish(pool, ticket, images):
+            calls["publish"] += 1
+            publish(pool, ticket, images)
+
+        monkeypatch.setattr(InferencePool, "collect", counted_collect)
+        monkeypatch.setattr(InferencePool, "publish", counted_publish)
+        samples = np.random.RandomState(23).randn(64, INPUT_DIM).astype(np.float32)
+        target, in_flight = 2000, 64
+        lock = threading.Lock()
+        sent = [0]
+        resolutions = collections.Counter()
+        errors = []
+        finished = threading.Event()
+        server = PooledInferenceServer(
+            _model(), sample_shape=(INPUT_DIM,), workers=1, max_batch_size=32
+        )
+        wait = server._wait_for_work
+
+        def counted_wait(wake_at, now):
+            calls["turns"] += 1
+            return wait(wake_at, now)
+
+        server._wait_for_work = counted_wait
+
+        def send() -> None:
+            with lock:
+                if sent[0] == target:
+                    return
+                index = sent[0]
+                sent[0] += 1
+            future = server.submit(samples[index % 64 : index % 64 + 1])
+            future.add_done_callback(functools.partial(on_done, index))
+
+        def on_done(index, future) -> None:
+            if future.exception() is not None:
+                errors.append(repr(future.exception()))
+            with lock:
+                resolutions[index] += 1
+                if len(resolutions) == target:
+                    finished.set()
+            send()
+
+        try:
+            server.start()
+            for _ in range(in_flight):
+                send()
+            assert finished.wait(timeout=60.0), f"{len(resolutions)} of {target} resolved"
+            server.stop()
+        finally:
+            server.close()
+        assert errors == []
+        assert sorted(resolutions) == list(range(target))
+        assert set(resolutions.values()) == {1}  # exactly once
+        assert server._inflight == {}
+        counters = server.counters
+        assert counters.offered == counters.accepted + counters.rejected == target
+        assert counters.accepted == (
+            server.stats.requests + counters.shed + counters.deadline_missed
+        )
+        assert calls["empty"] == 0
+        assert 0 < calls["collect"] <= calls["publish"]
+        wakeups = server.wakeups
+        assert sum(wakeups.values()) == calls["turns"]
+        assert wakeups["result"] > calls["turns"] / 2, wakeups
+        snapshot = {
+            labels["cause"]: value
+            for _, kind, name, value, _, labels in recorder.drain()
+            if name == "serve.wakeups"
+        }
+        assert snapshot == {cause: float(count) for cause, count in wakeups.items()}
+
+    def test_killed_pool_wakes_the_loop_with_no_new_submit(self):
+        """Every worker is killed with tickets in flight and nothing more is
+        submitted: only the workers' sentinels can wake the loop, and every
+        future still resolves exactly once through the recovery."""
+        model = _SlowModel(_model(), delay_s=0.2)
+        rng = np.random.RandomState(29)
+        with PooledInferenceServer(
+            model,
+            sample_shape=(INPUT_DIM,),
+            workers=2,
+            max_batch_size=1,
+            max_latency_ms=0.5,
+        ) as server:
+            futures = [
+                server.submit(rng.randn(1, INPUT_DIM).astype(np.float32)) for _ in range(4)
+            ]
+            deadline = time.monotonic() + 10.0
+            while len(server._inflight) < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.05)  # both workers are now inside a forward
+            for victim in server._pool._processes():
+                victim.kill()
+            results = [future.result(timeout=30.0) for future in futures]
+            server.stop()
+        assert all(r.shape == (1, 4) for r in results)
+        assert server.recoveries >= 1
+        assert server.wakeups["worker_exit"] >= 1
+        assert server._inflight == {}
+        assert server.stats.requests == 4
+        counters = server.counters
+        assert counters.offered == counters.accepted == 4
+
+    def test_backlog_does_not_hold_responses_back(self, monkeypatch):
+        """Under a backlog the loop never idles; a readable response is still
+        resolved before the next publish, not after the queue empties."""
+        published = [0]
+        publish = InferencePool.publish
+
+        def counted_publish(pool, ticket, images):
+            published[0] += 1
+            publish(pool, ticket, images)
+
+        monkeypatch.setattr(InferencePool, "publish", counted_publish)
+        model = _SlowModel(_model(), delay_s=0.01)
+        rng = np.random.RandomState(31)
+        first_resolved_after = []
+        with PooledInferenceServer(
+            model, sample_shape=(INPUT_DIM,), workers=1, max_batch_size=1
+        ) as server:
+            futures = [
+                server.submit(rng.randn(1, INPUT_DIM).astype(np.float32)) for _ in range(30)
+            ]
+            futures[0].add_done_callback(lambda _: first_resolved_after.append(published[0]))
+            for future in futures:
+                future.result(timeout=30.0)
+            server.stop()
+        assert first_resolved_after[0] < 15, first_resolved_after
 
     def test_oversized_single_request_falls_back_in_process(self):
         model = _model()
