@@ -1,6 +1,6 @@
 """Serving-plane benchmark: micro-batched inference, off-path and pooled evaluation.
 
-Five measurements of the `repro.serve` subsystem:
+Four measurements of the `repro.serve` subsystem:
 
 * **Micro-batching** — a closed-loop load generator (many client threads,
   single-sample requests) drives the :class:`~repro.serve.inference.InferenceServer`
@@ -22,13 +22,6 @@ Five measurements of the `repro.serve` subsystem:
   PR-3 single forked evaluator) and with 4 workers sharing the slot ring;
   on a ≥ 4-core host the 4-worker pool must deliver ≥ 2x evaluation
   throughput, and accuracies are asserted bit-identical to inline either way.
-
-* **Batched evaluation** — 8 checkpoint versions loaded into a ``(k, P)``
-  replica bank and evaluated in one fused forward
-  (:class:`~repro.serve.pool.BatchedEvaluator`) versus 8 sequential
-  `evaluate_top1` passes: the fused pass must beat sequential (it amortises
-  the per-batch Python overhead across versions even on one core) while
-  producing the same accuracies.
 
 * **Inference-pool scaling** — the same stream of request batches pushed
   through an :class:`~repro.serve.scaling.InferencePool` with 1 active
@@ -58,7 +51,6 @@ from repro.models import create_model
 from repro.nn.metrics import evaluate_top1
 from repro.tensor.tensor import Tensor, no_grad
 from repro.serve import (
-    BatchedEvaluator,
     Checkpoint,
     EvaluationService,
     EvaluatorPool,
@@ -290,15 +282,10 @@ def test_offpath_evaluation(report):
         ), "off-path evaluation added more than noise to the training loop"
 
 
-# ------------------------------------------------------- pooled and batched evaluation
-POOL_EVALS = 8  # checkpoints per timing run (and versions per fused batch)
+# ------------------------------------------------------------------ pooled evaluation
+POOL_EVALS = 8  # checkpoints per timing run
 POOL_WORKERS = 4
 POOL_TARGET_SPEEDUP = 2.0  # 4 workers vs the single forked evaluator
-# Fused cross-model batching pays where the paper says batching pays: in the
-# small-batch regime, where per-batch framework overhead dominates.  At large
-# eval batches a single model already saturates the BLAS kernels and the two
-# paths tie; both paths use the same batch size, so the comparison is fair.
-BATCHED_EVAL_BATCH = 64
 
 
 def _eval_workload():
@@ -370,66 +357,6 @@ def test_evaluator_pool_scaling(report):
             f"{POOL_WORKERS}-worker evaluator pool only "
             f"{pooled['speedup_vs_1_worker']}x over 1 worker "
             f"(target {POOL_TARGET_SPEEDUP}x)"
-        )
-
-
-def test_batched_evaluation(report):
-    trainer, checkpoints = _eval_workload()
-    try:
-        model = trainer.initial_model.clone()
-        evaluator = BatchedEvaluator(
-            trainer.initial_model, trainer.pipeline, batch_size=BATCHED_EVAL_BATCH
-        )
-        # Warm both paths (BLAS init, bank allocation) before timing.
-        evaluate_top1(
-            checkpoints[0].apply_to(model),
-            trainer.pipeline.test_batches(batch_size=BATCHED_EVAL_BATCH),
-        )
-        evaluator.evaluate(checkpoints)
-
-        started = time.perf_counter()
-        sequential = [
-            evaluate_top1(
-                checkpoint.apply_to(model),
-                trainer.pipeline.test_batches(batch_size=BATCHED_EVAL_BATCH),
-            )
-            for checkpoint in checkpoints
-        ]
-        sequential_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        batched = evaluator.evaluate(checkpoints)
-        batched_s = time.perf_counter() - started
-    finally:
-        trainer.close()
-
-    # One fused pass must agree with eight sequential passes exactly.
-    assert batched == sequential
-
-    speedup = sequential_s / batched_s if batched_s > 0 else float("inf")
-    rows = [
-        {
-            "mode": "sequential",
-            "versions": POOL_EVALS,
-            "eval_batch": BATCHED_EVAL_BATCH,
-            "seconds": round(sequential_s, 4),
-            "evals_per_s": round(POOL_EVALS / sequential_s, 2),
-            "speedup_vs_sequential": 1.0,
-        },
-        {
-            "mode": "batched",
-            "versions": POOL_EVALS,
-            "eval_batch": BATCHED_EVAL_BATCH,
-            "seconds": round(batched_s, 4),
-            "evals_per_s": round(POOL_EVALS / batched_s, 2),
-            "speedup_vs_sequential": round(speedup, 2),
-        },
-    ]
-    report("serving_batched_eval", rows)
-    if _strict():
-        assert speedup > 1.0, (
-            f"fused batched evaluation ({batched_s:.4f}s) did not beat "
-            f"{POOL_EVALS} sequential evaluations ({sequential_s:.4f}s)"
         )
 
 

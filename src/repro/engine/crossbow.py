@@ -42,7 +42,7 @@ from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.optim.easgd import EASGD, EASGDConfig
 from repro.optim.schedules import hyperparameters_for_model, schedule_for_model
 from repro.optim.sma import SMA, SMAConfig
-from repro.tensor.backend import get_backend
+from repro.tensor.backend import KernelBackend
 from repro.gpusim import Tracer, cost_profile_for_model, titan_x_server
 from repro.telemetry.recorder import get_recorder
 from repro.utils.logging import get_logger
@@ -113,9 +113,8 @@ class CrossbowTrainer:
 
             config = resolve_auto_execution(config)
         self.config = config
-        #: kernel provider for the gradient gather and the update-row scaling:
-        #: the reference — no provider overrides an op routed here.
-        self.backend = get_backend()
+        #: the update-row scaling run before each fused step
+        self.backend = KernelBackend()
         self.rng = RandomState(config.seed, name="crossbow")
 
         # Data substrate -------------------------------------------------------------
@@ -291,7 +290,6 @@ class CrossbowTrainer:
         replica = self.replica_pool.add(model, gpu_id, stream.stream_id)
         self.scheduler.register_replica(replica)
         learner = Learner(len(self.learners), replica)
-        learner.backend = self.backend
         self.learners.append(learner)
         return learner
 

@@ -135,18 +135,6 @@ class ReplicaBank:
         self._bind(replica, row)
         return row
 
-    def attach_module(self, module: Module, gpu_id: int = -1, stream_id: int = -1) -> ModelReplica:
-        """Bank a bare module: wrap it in a :class:`ModelReplica` and attach it.
-
-        Convenience for bank users outside the training engine — the serving
-        plane's batched evaluator banks ``k`` checkpoint models without a
-        scheduler, GPU or learner stream (hence the ``-1`` placeholder ids).
-        Returns the replica so the caller can address its row and model.
-        """
-        replica = ModelReplica(len(self._owners), module, gpu_id, stream_id)
-        self.attach(replica)
-        return replica
-
     def detach(self, replica: ModelReplica) -> None:
         """Evict a replica; its model gets private memory and the row is recycled."""
         row = replica.bank_row

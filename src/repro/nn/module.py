@@ -216,15 +216,11 @@ class Module:
             param.data[...] = vector[offset : offset + size].reshape(param.data.shape)
             offset += size
 
-    def gradient_vector(self, out: Optional[np.ndarray] = None, backend=None) -> np.ndarray:
+    def gradient_vector(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """All gradients as one flat vector (zeros where grad is None).
 
         ``out`` lets callers gather gradients into a pre-allocated buffer (a
         row of the trainer's ``(k, P)`` gradient matrix) without allocating.
-        ``backend`` routes the gather through a
-        :class:`~repro.tensor.backend.KernelBackend` (one of the dense hot
-        paths the backend protocol covers); ``None`` keeps the inline
-        reference copy loop, which is what the numpy provider does too.
         Operators return parameter gradients C-contiguous, so each segment
         copy is a memcpy.
         """
@@ -235,10 +231,6 @@ class Module:
             raise ValueError(
                 f"gradient buffer has shape {out.shape}/{out.dtype}, "
                 f"expected ({expected},) float32"
-            )
-        if backend is not None:
-            return backend.gather(
-                ((param.grad, param.data.size) for param in self.parameters()), out
             )
         offset = 0
         for param in self.parameters():

@@ -16,10 +16,7 @@ the *transactional write path* (training), the same split HTAP systems make:
 * :mod:`repro.serve.ring` — the one shared-memory slot ring and forked-pool
   lifecycle both worker pools below are payload adapters over,
 * :mod:`repro.serve.pool` — the scaling layer: :class:`EvaluatorPool` (N
-  forked workers claiming checkpoints from the slot ring) and
-  :class:`BatchedEvaluator` (k checkpoint versions banked into a ``(k, P)``
-  replica bank and evaluated in one fused forward — the serving-side analogue
-  of ``SMA.step_matrix``),
+  forked workers claiming checkpoints from the slot ring),
 * :mod:`repro.serve.batching` — the one statement of the serving rules: a
   sans-I/O, clock-injected ``BatchingCore`` (admission policies, per-request
   deadlines, micro-batch ripeness and membership, :class:`ServeCounters`)
@@ -43,7 +40,7 @@ from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.serve.evaluation import EvaluationService, EvaluationTicket
 from repro.serve.batching import ServeCounters
 from repro.serve.inference import InferenceServer, ServingStats
-from repro.serve.pool import BatchedEvaluator, EvaluatorPool
+from repro.serve.pool import EvaluatorPool
 from repro.serve.scaling import (
     InferencePool,
     PooledInferenceServer,
@@ -52,7 +49,6 @@ from repro.serve.scaling import (
 )
 
 __all__ = [
-    "BatchedEvaluator",
     "Checkpoint",
     "CheckpointStore",
     "EvaluationService",

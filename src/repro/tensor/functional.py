@@ -44,7 +44,6 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "nll_loss",
-    "pad2d",
 ]
 
 
@@ -513,23 +512,6 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
 
 def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
     return _AvgPool2d.apply(x, kernel_size=kernel_size, stride=stride or kernel_size)
-
-
-class _Pad2d(Function):
-    def forward(self, x, padding: int):
-        self.save_for_backward(padding)
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-    def backward(self, grad):
-        (padding,) = self.saved
-        if padding == 0:
-            return (grad,)
-        return (grad[:, :, padding:-padding, padding:-padding],)
-
-
-def pad2d(x: Tensor, padding: int) -> Tensor:
-    """Zero-pad the two spatial dimensions of an NCHW tensor."""
-    return _Pad2d.apply(x, padding=padding)
 
 
 # ---------------------------------------------------------------------------

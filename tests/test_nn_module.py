@@ -95,6 +95,27 @@ class TestFlatParameterView:
         assert grad.shape == (net.num_parameters(),)
         np.testing.assert_allclose(grad, 0.0)
 
+    def test_gradient_gather_into_bank_row(self):
+        """Gathering into a row of a ``(k, P)`` bank gives the allocating gather's floats."""
+        net = _TinyNet()
+        rng = np.random.default_rng(4)
+        params = list(net.parameters())
+        for index, param in enumerate(params):
+            # Leave one parameter's gradient unset: gather must zero-fill it.
+            param.grad = (
+                None if index == 1 else rng.standard_normal(param.data.shape).astype(np.float32)
+            )
+        expected = np.concatenate(
+            [np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1) for p in params]
+        ).astype(np.float32)
+        plain = net.gradient_vector()
+        np.testing.assert_array_equal(plain, expected)
+        bank = np.full((3, net.num_parameters()), np.nan, dtype=np.float32)
+        row = net.gradient_vector(out=bank[1])
+        assert np.shares_memory(row, bank[1])
+        np.testing.assert_array_equal(bank[1], plain)
+        assert np.isnan(bank[0]).all() and np.isnan(bank[2]).all()
+
     def test_parameter_bytes_is_four_bytes_per_weight(self):
         net = _TinyNet()
         assert net.parameter_bytes() == 4 * net.num_parameters()

@@ -1,4 +1,4 @@
-"""Tests for the scaled serving plane: evaluator pool, batched eval, admission.
+"""Tests for the scaled serving plane: evaluator pool and admission control.
 
 Covers the three PR-5 guarantees: (1) pooled evaluation is bit-identical to
 inline evaluation for any worker count (N=1 and N=4 asserted through full
@@ -20,7 +20,6 @@ from repro.errors import AdmissionError, ConfigurationError, SchedulingError
 from repro.nn import Linear, Module
 from repro.nn.metrics import evaluate_top1
 from repro.serve import (
-    BatchedEvaluator,
     Checkpoint,
     CheckpointStore,
     EvaluationService,
@@ -232,6 +231,30 @@ class TestEvaluatorPool:
         finally:
             trainer.close()
 
+    @pytest.mark.parametrize(
+        "model_name,model_overrides",
+        [
+            ("resnet32-scaled", {"width_multiplier": 0.25, "blocks_per_stage": 1}),
+            ("vgg16-scaled", {"width_multiplier": 0.0625}),
+        ],
+    )
+    def test_conv_checkpoints_match_inline(self, model_name, model_overrides):
+        """ResNet/VGG checkpoints evaluate in the workers with their own BN
+        running statistics: accuracies equal inline evaluate_top1."""
+        trainer = CrossbowTrainer(_conv_config(model_name, model_overrides))
+        try:
+            checkpoints = _conv_checkpoints(trainer.initial_model, 3)
+            with EvaluatorPool(
+                trainer.initial_model, trainer.pipeline, workers=2, batch_size=32
+            ) as pool:
+                pooled = pool.evaluate(checkpoints)
+            assert pooled == _inline_accuracies(trainer, checkpoints, batch_size=32)
+            # The accuracies differ across checkpoints (each carries its own
+            # BN statistics), so a shared-statistics bug cannot hide.
+            assert len(set(pooled)) > 1
+        finally:
+            trainer.close()
+
     def test_submit_validation(self):
         trainer = CrossbowTrainer(_config(max_epochs=1))
         try:
@@ -324,124 +347,6 @@ class TestPooledEvaluationService:
             )[0]
         finally:
             service.close()
-            trainer.close()
-
-
-# ------------------------------------------------------------------- batched evaluator
-class TestBatchedEvaluator:
-    def test_fused_accuracies_match_sequential(self):
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            checkpoints = _perturbed_checkpoints(trainer, 8, scale=0.1)
-            evaluator = BatchedEvaluator(trainer.initial_model, trainer.pipeline)
-            batched = evaluator.evaluate(checkpoints)
-            assert batched == _inline_accuracies(trainer, checkpoints)
-            # Re-evaluating with the bank already built stays identical.
-            assert evaluator.evaluate(checkpoints) == batched
-        finally:
-            trainer.close()
-
-    def test_small_eval_batches_match_too(self):
-        """Rounding accumulates per batch; the fused path must mirror it."""
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            checkpoints = _perturbed_checkpoints(trainer, 3, scale=0.2)
-            evaluator = BatchedEvaluator(
-                trainer.initial_model, trainer.pipeline, batch_size=32
-            )
-            assert evaluator.evaluate(checkpoints) == _inline_accuracies(
-                trainer, checkpoints, batch_size=32
-            )
-        finally:
-            trainer.close()
-
-    def test_evaluate_versions_from_store(self):
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            store = CheckpointStore(capacity=8)
-            checkpoints = _perturbed_checkpoints(trainer, 4)
-            versions = [store.publish(c) for c in checkpoints]
-            evaluator = BatchedEvaluator(trainer.initial_model, trainer.pipeline)
-            by_version = evaluator.evaluate_versions(store, versions)
-            assert list(by_version) == versions
-            assert list(by_version.values()) == _inline_accuracies(trainer, checkpoints)
-        finally:
-            trainer.close()
-
-    def test_empty_batch(self):
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            evaluator = BatchedEvaluator(trainer.initial_model, trainer.pipeline)
-            assert evaluator.evaluate([]) == []
-        finally:
-            trainer.close()
-
-    @pytest.mark.parametrize(
-        "model_name,model_overrides",
-        [
-            ("resnet32-scaled", {"width_multiplier": 0.25, "blocks_per_stage": 1}),
-            ("vgg16-scaled", {"width_multiplier": 0.0625}),
-        ],
-    )
-    def test_conv_checkpoints_match_sequential(self, model_name, model_overrides):
-        """ResNet/VGG checkpoints evaluate through the fused conv/BN path with
-        accuracies identical to sequential evaluate_top1, per-checkpoint BN
-        running statistics included."""
-        trainer = CrossbowTrainer(_conv_config(model_name, model_overrides))
-        try:
-            checkpoints = _conv_checkpoints(trainer.initial_model, 3)
-            evaluator = BatchedEvaluator(
-                trainer.initial_model, trainer.pipeline, batch_size=32
-            )
-            fused = evaluator.evaluate(checkpoints)
-            assert fused == _inline_accuracies(trainer, checkpoints, batch_size=32)
-            # The accuracies differ across checkpoints (the BN stacks are
-            # per-checkpoint), so a shared-statistics bug cannot hide.
-            assert len(set(fused)) > 1
-        finally:
-            trainer.close()
-
-    def test_conv_checkpoint_missing_buffer_is_rejected(self):
-        trainer = CrossbowTrainer(
-            _conv_config("resnet32-scaled", {"width_multiplier": 0.25, "blocks_per_stage": 1})
-        )
-        try:
-            (checkpoint,) = _conv_checkpoints(trainer.initial_model, 1)
-            missing = next(iter(checkpoint.buffers))
-            del checkpoint.buffers[missing]
-            evaluator = BatchedEvaluator(trainer.initial_model, trainer.pipeline)
-            with pytest.raises(ConfigurationError, match="missing buffer"):
-                evaluator.evaluate([checkpoint])
-        finally:
-            trainer.close()
-
-    def test_unsupported_architectures_are_rejected(self):
-        class _GatedLinear(Module):
-            """Two parameterised children combined multiplicatively: no fused form."""
-
-            def __init__(self):
-                super().__init__()
-                self.value = Linear(8, 4, rng=RandomState(4))
-                self.gate = Linear(8, 4, rng=RandomState(5))
-
-            def forward(self, x):
-                return self.value(x) * self.gate(x)
-
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            with pytest.raises(ConfigurationError, match="EvaluatorPool"):
-                BatchedEvaluator(_GatedLinear(), trainer.pipeline)
-        finally:
-            trainer.close()
-
-    def test_parameter_count_mismatch(self):
-        trainer = CrossbowTrainer(_config(max_epochs=1))
-        try:
-            evaluator = BatchedEvaluator(trainer.initial_model, trainer.pipeline)
-            bad = Checkpoint(parameters=np.zeros(5, dtype=np.float32), buffers={})
-            with pytest.raises(ConfigurationError, match="parameters"):
-                evaluator.evaluate([bad])
-        finally:
             trainer.close()
 
 

@@ -117,10 +117,6 @@ class TestConvPoolNormGradients:
         beta = Tensor(np.zeros(3), requires_grad=True)
         assert gradcheck(lambda x, g, b: F.batch_norm(x, g, b), [x, gamma, beta])
 
-    def test_pad2d(self):
-        x = _tensor((2, 2, 4, 4))
-        assert gradcheck(lambda x: F.pad2d(x, 2), [x])
-
     def test_softmax_and_log_softmax(self):
         x = _tensor((6, 5))
         assert gradcheck(lambda x: F.softmax(x), [x])

@@ -71,10 +71,6 @@ class TestShapes:
         assert F.avg_pool2d(x, 2).shape == (2, 4, 4, 4)
         assert F.max_pool2d(x, 2, stride=1).shape == (2, 4, 7, 7)
 
-    def test_pad2d_shape(self):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)))
-        assert F.pad2d(x, 3).shape == (1, 2, 10, 10)
-
 
 class TestNumericalSemantics:
     def test_conv2d_matches_direct_convolution(self):
