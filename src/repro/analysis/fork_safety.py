@@ -20,7 +20,8 @@ views, no pickling), but it makes three classes of capture silently unsafe:
 
 Additionally, a process that has started threads must never ``fork`` — the
 child inherits locked locks whose owners do not exist in it.  R3 flags fork
-call sites in any module that also constructs ``threading.Thread``.
+call sites in any module that also constructs a thread: ``threading.Thread``
+(qualified or from-imported) or a ``ThreadPoolExecutor``.
 
 Worker entry functions are recognised by the ``*_worker_main`` suffix or by
 being passed as a fork target (``._fork(fn, ...)`` / ``Process(target=fn)``).
@@ -42,6 +43,8 @@ _SAFE_RNG_CALLS = frozenset({"default_rng", "Generator", "Random", "SeedSequence
 #: module aliases whose attribute calls draw from the forked global RNG
 _RNG_MODULES = frozenset({"random"})
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
+#: call names that start threads in the calling process
+_THREAD_CONSTRUCTORS = frozenset({"Thread", "ThreadPoolExecutor"})
 
 
 def _rng_violation_name(func: ast.AST) -> Optional[str]:
@@ -114,17 +117,16 @@ class ForkSafetyRule(Rule):
         return violations
 
     def _thread_creation_lines(self, tree: ast.Module) -> List[int]:
-        lines: List[int] = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "Thread"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "threading"
-            ):
-                lines.append(node.lineno)
-        return lines
+        """Lines constructing a thread, however the name was imported.
+
+        ``threading.Thread(...)``, a from-imported ``Thread(...)`` and
+        ``ThreadPoolExecutor(...)`` (bare or module-qualified) all count.
+        """
+        return sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and terminal_name(node.func) in _THREAD_CONSTRUCTORS
+        )
 
     def _fork_sites(self, tree: ast.Module) -> List[ast.Call]:
         sites: List[ast.Call] = []
@@ -148,7 +150,7 @@ class ForkSafetyRule(Rule):
                         context,
                         site,
                         "fork site in a module that also starts threads "
-                        f"(threading.Thread at line {thread_lines[0]}); a forked "
+                        f"(thread constructed at line {thread_lines[0]}); a forked "
                         "child inherits locked locks whose owners do not exist — "
                         "keep forking and threading in separate modules",
                     )

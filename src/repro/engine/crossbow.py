@@ -29,7 +29,7 @@ from repro.data.sharding import ShardedBatchPipeline
 from repro.engine.autotuner import AutoTuner, AutoTunerDecision
 from repro.engine.config import CrossbowConfig
 from repro.engine.executor import ProcessExecutor, SharedMatrix, SharedReplicaBank
-from repro.engine.learner import Learner
+from repro.engine.learner import Learner, LearnerLanes, blas_threads, usable_cpus
 from repro.engine.metrics import EpochRecord, SyncCounters, TrainingMetrics, TrainingResult
 from repro.engine.replica import ModelReplica, ReplicaBank, ReplicaPool
 from repro.engine.scheduler import SchedulingPolicy, TaskScheduler
@@ -89,8 +89,11 @@ class CrossbowTrainer:
         computations run in one worker process per learner over a
         shared-memory bank (:mod:`repro.engine.executor`), each worker
         streaming its own dataset shard; ``execution="serial"`` (default)
-        keeps them in-process.  Fixed-seed runs of the two modes produce
-        bit-identical central models when augmentation is disabled.
+        keeps them in-process, running an iteration's ``k`` passes at once
+        on one CPU-pinned lane per core that BLAS leaves free
+        (:class:`~repro.engine.learner.LearnerLanes`).  Fixed-seed runs of
+        the two modes, at any lane width, produce bit-identical central
+        models when augmentation is disabled.
 
     Notes
     -----
@@ -245,6 +248,8 @@ class CrossbowTrainer:
 
         self.metrics = TrainingMetrics()
         self.sync_counters = SyncCounters()
+        #: the most lanes any serial iteration ran its learners on (1 in process mode)
+        self.learner_lanes = 1
         self._iteration = 0
         self._last_lr = self.schedule.rate(0.0)
         self._accuracy_before_lr_change: Optional[float] = None
@@ -384,6 +389,15 @@ class CrossbowTrainer:
                 recorder.counter(f"trainer.{key}", float(value))
             recorder.counter("trainer.autotuner_resizes", self.autotuner.resize_count)
             recorder.counter("trainer.epochs", len(self.metrics.records))
+            # With the inputs of lane_width(), so a width of 1 says why.
+            cores = len(usable_cpus())
+            recorder.counter(
+                "trainer.learner_lanes",
+                self.learner_lanes,
+                execution=config.execution,
+                cores=cores,
+                blas_threads=blas_threads(cores),
+            )
 
         return TrainingResult(
             system="crossbow",
@@ -400,6 +414,7 @@ class CrossbowTrainer:
                 "total_learners": len(self.learners),
                 "sma_restarts": getattr(self.synchroniser, "restarts", 0),
                 "autotuner_resizes": self.autotuner.resize_count,
+                "learner_lanes": self.learner_lanes,
                 **self.sync_counters.as_dict(),
                 **(
                     {
@@ -422,19 +437,23 @@ class CrossbowTrainer:
         batch_iter = self.pipeline.epoch_batches(epoch)
         pending: List[Batch] = []
         exhausted = False
-        while not exhausted:
-            # Collect one batch per learner for this SMA iteration.
-            pending.clear()
-            for _ in range(len(self.learners)):
-                try:
-                    pending.append(next(batch_iter))
-                except StopIteration:
-                    exhausted = True
+        # The lanes' helper threads live only inside this block: none is alive
+        # at evaluation, checkpoint publish, an evaluator-pool fork or close().
+        with LearnerLanes() as lanes:
+            while not exhausted:
+                # Collect one batch per learner for this SMA iteration.
+                pending.clear()
+                for _ in range(len(self.learners)):
+                    try:
+                        pending.append(next(batch_iter))
+                    except StopIteration:
+                        exhausted = True
+                        break
+                if len(pending) < len(self.learners):
                     break
-            if len(pending) < len(self.learners):
-                break
-            losses.append(self._run_iteration(pending))
-            self._maybe_autotune()
+                losses.append(self._run_iteration(pending, lanes))
+                self._maybe_autotune()
+        self.learner_lanes = max(self.learner_lanes, lanes.widest)
         return float(np.mean(losses)) if losses else float("nan")
 
     def _train_epoch_process(self, epoch: int) -> float:
@@ -575,7 +594,7 @@ class CrossbowTrainer:
             updates.append(self._update_matrix_b)
         self._executor.bind_buffers(self.replica_bank, extra, updates)
 
-    def _run_iteration(self, batches: List[Batch]) -> float:
+    def _run_iteration(self, batches: List[Batch], lanes: LearnerLanes) -> float:
         """Execute one SMA iteration: k learning tasks + synchronisation tasks."""
         synchronise = self.synchroniser.should_synchronise()
         replicas = [learner.replica for learner in self.learners]
@@ -588,17 +607,16 @@ class CrossbowTrainer:
                 f"for {k} learners"
             )
 
-        # Numeric part: gather every learner's gradient into one (k, P) matrix,
-        # then apply local updates, corrections and the central-model move as
-        # fused matrix ops on the replica bank — no per-learner flatten or
-        # unflatten round trips (the bank rows *are* the replica weights).
+        # Numeric part: the lanes gather every learner's gradient into one
+        # (k, P) matrix, then the calling thread applies local updates,
+        # corrections and the central-model move as fused matrix ops on the
+        # replica bank — no per-learner flatten or unflatten round trips (the
+        # bank rows *are* the replica weights).
         weights = self.replica_bank.active_matrix()
         updates = self._update_rows(k)
-        losses = np.empty(k, dtype=np.float64)
-        for index, (learner, batch) in enumerate(zip(self.learners, batches)):
-            _, loss = learner.compute_gradient(batch, out=updates[index])
-            losses[index] = loss
-            learner.replica.iterations_processed += 1
+        losses = lanes.compute_gradients(self.learners, batches, updates)
+        for replica in replicas:
+            replica.iterations_processed += 1
         return self._finish_iteration(weights, updates, losses, replicas, synchronise)
 
     def _run_iteration_process(self) -> float:

@@ -416,6 +416,11 @@ class _Conv2d(Function):
     weight gradient ``(N,O,P) @ (N,P,F)`` summed over ``N``, column gradient
     ``(F,O) @ (N,O,P)``.  Every product comes out contiguous in the layout its
     consumer reads, so the reshapes around them are views.
+
+    Backward re-gathers the columns from the saved input instead of keeping
+    them from forward: ``x`` is alive in the graph anyway, while a 3x3
+    kernel's columns are nine times its size.  The gather is deterministic,
+    so the weight gradient reads the same floats either way.
     """
 
     def forward(self, x, weight, bias, stride: int, padding: int):
@@ -428,15 +433,18 @@ class _Conv2d(Function):
         out = np.matmul(weight.reshape(out_channels, -1), cols)  # (N, O, P)
         if bias is not None:
             out += bias.reshape(1, -1, 1)
-        self.save_for_backward(x.shape, weight, cols, stride, padding, bias is not None)
+        self.save_for_backward(x, weight, stride, padding, bias is not None)
         return out.reshape(x.shape[0], out_channels, out_h, out_w)
 
     def backward(self, grad):
-        x_shape, weight, cols, stride, padding, has_bias = self.saved
+        x, weight, stride, padding, has_bias = self.saved
+        x_shape = x.shape
         out_channels, in_channels, kernel_h, kernel_w = weight.shape
         grad_mat = grad.reshape(grad.shape[0], out_channels, -1)  # (N, O, P)
 
+        cols, _, _ = _im2col(x, kernel_h, kernel_w, stride, padding)
         grad_weight = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols  # the column gradient below is as large; do not hold both
         grads = [None, grad_weight.reshape(weight.shape)]
         # The stem conv reads raw images: nothing upstream wants grad_x, and it
         # has the largest spatial extent in the net, so do not compute it.

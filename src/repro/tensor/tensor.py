@@ -13,6 +13,7 @@ carried as plain ``numpy.ndarray`` arguments to the loss functions.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,24 +22,34 @@ from repro.errors import GradientError
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread gradient switch: every thread starts with recording on.
+
+    Thread-local so that a server evaluating under :func:`no_grad` on one
+    thread cannot switch recording off under a learner training on another.
+    """
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _grad_enabled
+    """Return whether operations on this thread record gradient information."""
+    return _grad_mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient recording (used for evaluation)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable gradient recording on the calling thread (used for evaluation)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 class Function:
@@ -69,7 +80,7 @@ class Function:
         ctx = cls(*tensor_inputs)
         raw = [a.data if isinstance(a, Tensor) else a for a in args]
         output = ctx.forward(*raw, **kwargs)
-        requires = _grad_enabled and any(t.requires_grad for t in tensor_inputs)
+        requires = _grad_mode.enabled and any(t.requires_grad for t in tensor_inputs)
         return Tensor(output, requires_grad=requires, _ctx=ctx if requires else None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -94,7 +105,7 @@ class Tensor:
         if array.dtype != np.float32:
             array = array.astype(np.float32)
         self.data: np.ndarray = array
-        self.requires_grad: bool = bool(requires_grad) and _grad_enabled
+        self.requires_grad: bool = bool(requires_grad) and _grad_mode.enabled
         self.grad: Optional[np.ndarray] = None
         self._ctx: Optional[Function] = _ctx
 

@@ -55,6 +55,30 @@ class TestRuleFixtures:
             ("R3", 18),  # fork site in a module that starts threads
         ]
 
+    @pytest.mark.parametrize(
+        "imports, start",
+        [
+            ("from concurrent.futures import ThreadPoolExecutor", "ThreadPoolExecutor(2)"),
+            ("import concurrent.futures", "concurrent.futures.ThreadPoolExecutor(2)"),
+            ("from threading import Thread", "Thread(target=print)"),
+        ],
+    )
+    def test_r3_sees_every_way_of_starting_threads(self, imports, start):
+        source = (
+            f"{imports}\n"
+            "import multiprocessing\n"
+            "def run():\n"
+            f"    pool = {start}\n"
+            "    multiprocessing.Process(target=print).start()\n"
+        )
+        report = analyze_source(source, default_rules())
+        assert [(v.rule, v.line) for v in report.violations] == [("R3", 5)]
+        assert "line 4" in report.violations[0].message
+
+    def test_r3_thread_module_without_fork_site_is_clean(self):
+        source = "import threading\nthreading.Thread(target=print).start()\n"
+        assert analyze_source(source, default_rules()).violations == []
+
     def test_r4_publish_order(self):
         # apply_pending never flips; apply_and_flip publishes and is clean.
         assert _findings(FIXTURES / "bad_publish.py") == [("R4", 6)]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import GradientError
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.models import create_model
+from repro.nn.losses import CrossEntropyLoss
+from repro.tensor import Tensor, functional as F, is_grad_enabled, no_grad
 from repro.tensor.gradcheck import gradcheck
 from repro.utils.rng import RandomState
 
@@ -183,3 +187,62 @@ class TestBackwardSemantics:
             return F.linear(hidden, w2)
 
         assert gradcheck(network, [x, w1, w2])
+
+
+class TestGradModeIsPerThread:
+    def test_no_grad_on_another_thread_leaves_this_one_recording(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def evaluator():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=evaluator)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert is_grad_enabled()
+            a = _tensor((2, 2))
+            assert F.mul(a, a).requires_grad
+        finally:
+            release.set()
+            thread.join()
+
+    def test_new_thread_starts_with_gradients_on(self):
+        seen = []
+        with no_grad():
+            thread = threading.Thread(target=lambda: seen.append(is_grad_enabled()))
+            thread.start()
+            thread.join()
+            assert not is_grad_enabled()
+        assert seen == [True]
+        assert is_grad_enabled()
+
+    def test_training_beside_a_no_grad_server_thread(self):
+        """A server looping ``no_grad()`` forwards must not break training's backward."""
+        model = create_model("mlp", rng=RandomState(3))
+        loss_fn = CrossEntropyLoss()
+        x = Tensor(rng.normal(size=(16, 32)))
+        labels = np.arange(16) % 4
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                with no_grad():
+                    model(x)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        failures = 0
+        try:
+            for _ in range(300):
+                model.zero_grad()
+                try:
+                    loss_fn(model(x), labels).backward()
+                except GradientError:
+                    failures += 1
+        finally:
+            stop.set()
+            server.join()
+        assert failures == 0
