@@ -176,21 +176,28 @@ def _run_resize(persistent: bool) -> Dict[str, object]:
                 return "respawn"
 
             executor.resize = respawn
-        trainer._apply_schedule(0)
-        executor.begin_epoch(0)
-        # Warm up: spawn the pool and run a few steady-state iterations.
-        for _ in range(3):
-            trainer._run_iteration_process()
         grow_seconds: List[float] = []
-        for _ in range(RESIZE_CYCLES):
-            started = time.perf_counter()
-            trainer._grow_learners()
+        iterations = 0
+        grown_at: Optional[float] = None
+
+        def resize_between_iterations() -> None:
+            # The epoch loop calls this after every iteration.  Three warm-up
+            # iterations spawn the pool; then grows alternate with shrinks.
             # The respawn path pays its forks lazily on the next iteration,
-            # so the first post-resize iteration is part of the resize cost.
-            trainer._run_iteration_process()
-            grow_seconds.append(time.perf_counter() - started)
-            trainer._shrink_learners()  # restore; not measured
-            trainer._run_iteration_process()
+            # so a grow is timed to the end of the first iteration after it.
+            nonlocal iterations, grown_at
+            iterations += 1
+            if grown_at is not None:
+                grow_seconds.append(time.perf_counter() - grown_at)
+                grown_at = None
+                trainer._shrink_learners()  # restore; not measured
+            elif iterations >= 3 and len(grow_seconds) < RESIZE_CYCLES:
+                grown_at = time.perf_counter()
+                trainer._grow_learners()
+
+        trainer._maybe_autotune = resize_between_iterations
+        trainer._apply_schedule(0)
+        trainer._train_epoch(0)
         return {
             "median_grow_ms": float(np.median(grow_seconds) * 1e3),
             "max_grow_ms": float(np.max(grow_seconds) * 1e3),

@@ -59,8 +59,10 @@ class CrossbowConfig(TrainerConfig):
     ``execution`` selects how the numeric learning tasks run:
 
     * ``"serial"`` (default) — every learner's forward/backward pass runs in
-      the trainer's process; only the fused ``(k, P)`` synchronisation step is
-      parallel (BLAS).
+      the trainer's process, an iteration's ``k`` passes at once on one
+      CPU-pinned lane per core that BLAS leaves free
+      (:class:`~repro.engine.learner.LearnerLanes`); the fused ``(k, P)``
+      synchronisation step runs on the calling thread.
     * ``"process"`` — one worker process per learner over a shared-memory
       replica bank, each streaming its own dataset shard
       (:mod:`repro.engine.executor`).  Requires the POSIX ``fork`` start
@@ -77,8 +79,8 @@ class CrossbowConfig(TrainerConfig):
     schedule:
 
     * ``0`` (default) — synchronous: the parent applies the fused
-      ``step_matrix`` while every worker idles; bit-identical to the PR-2
-      executor (and, with augmentation disabled, to ``"serial"``).
+      ``step_matrix`` while every worker idles; with augmentation disabled,
+      bit-identical to ``"serial"``.
     * ``1`` — pipelined: workers begin iteration ``t+1``'s forward/backward
       against a published double-buffered weight view while the parent
       applies iteration ``t``'s fused update into the back buffer, then

@@ -18,13 +18,12 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.sanitizer import guard_for
 from repro.data import AugmentationPipeline, BatchPipeline, create_dataset
-from repro.data.batching import Batch
 from repro.data.sharding import ShardedBatchPipeline
 from repro.engine.autotuner import AutoTuner, AutoTunerDecision
 from repro.engine.config import CrossbowConfig
@@ -53,13 +52,13 @@ logger = get_logger("engine.crossbow")
 
 @dataclass
 class _PendingIteration:
-    """One collected-but-unapplied pipelined iteration (``pipeline_depth=1``).
+    """One collected-but-unapplied iteration.
 
-    The workers have already written this iteration's raw gradients into
-    update buffer ``update_index``; the parent applies the fused
-    synchronisation step lazily — overlapped with the *next* iteration's
-    gradient computation — or at a flush barrier (epoch end, resize,
-    evaluation, close).
+    The learners have already written this iteration's raw gradients into
+    update buffer ``update_index``.  At ``pipeline_depth=0`` the trainer
+    applies it at once; at depth 1 it applies the fused synchronisation step
+    lazily — overlapped with the *next* iteration's gradient computation — or
+    at a flush barrier (epoch end, resize, evaluation, close).
     """
 
     losses: np.ndarray
@@ -180,31 +179,15 @@ class CrossbowTrainer:
         max_learners = config.num_gpus * (
             config.max_replicas_per_gpu if config.auto_tune else config.replicas_per_gpu
         )
-        # In process mode both the bank and the gradient matrix live in shared
-        # memory: workers read weights and write gradients with zero copies.
-        # pipeline_depth=1 adds a second gradient matrix (iteration t+1's
-        # gradients must not race iteration t's fused update) and a shadow
-        # weight buffer — the back buffer of the publish/flip protocol.
-        self._executor: Optional[ProcessExecutor] = None
         self._shared_segments: List[SharedMatrix] = []
-        self._update_matrix_b: Optional[np.ndarray] = None
-        self._shadow_matrix: Optional[np.ndarray] = None
         #: which weight buffer holds the newest published weights (0 = bank,
         #: 1 = shadow); always 0 outside a pipelined epoch's steady state
         self._published_index = 0
         self._next_update_index = 0
         self._pending: Optional[_PendingIteration] = None
+        self._executor: Union[ProcessExecutor, LearnerLanes]
         if config.execution == "process":
             self.replica_bank = SharedReplicaBank(num_parameters, capacity=max_learners)
-            update = SharedMatrix(max_learners, num_parameters)
-            self._shared_segments.append(update)
-            self._update_matrix = update.array
-            if config.pipeline_depth == 1:
-                update_b = SharedMatrix(max_learners, num_parameters)
-                shadow = SharedMatrix(max_learners, num_parameters)
-                self._shared_segments.extend([update_b, shadow])
-                self._update_matrix_b = update_b.array
-                self._shadow_matrix = shadow.array
             shard_pipeline = ShardedBatchPipeline(
                 self.dataset,
                 batch_size=config.batch_size,
@@ -221,10 +204,21 @@ class CrossbowTrainer:
                 ),
             )
             self._executor = ProcessExecutor(shard_pipeline)
-            self._bind_executor_buffers()
         else:
             self.replica_bank = ReplicaBank(num_parameters, capacity=max_learners)
-            self._update_matrix = np.zeros((max_learners, num_parameters), dtype=np.float32)
+            self._executor = LearnerLanes(self.pipeline)
+        # In process mode the bank and the gradient matrix live in shared
+        # memory: workers read weights and write gradients with zero copies.
+        # pipeline_depth=1 adds a second gradient matrix (iteration t+1's
+        # gradients must not race iteration t's fused update) and a shadow
+        # weight buffer — the back buffer of the publish/flip protocol.
+        self._update_matrix = self._new_matrix(max_learners, num_parameters)
+        self._update_matrix_b: Optional[np.ndarray] = None
+        self._shadow_matrix: Optional[np.ndarray] = None
+        if config.pipeline_depth == 1:
+            self._update_matrix_b = self._new_matrix(max_learners, num_parameters)
+            self._shadow_matrix = self._new_matrix(max_learners, num_parameters)
+        self._bind_executor_buffers()
         self.replica_pool = ReplicaPool(bank=self.replica_bank)
         # Scratch for the weight-decay term, allocated lazily on first use so
         # the hot path stays allocation-free without taxing decay-free runs.
@@ -248,8 +242,6 @@ class CrossbowTrainer:
 
         self.metrics = TrainingMetrics()
         self.sync_counters = SyncCounters()
-        #: the most lanes any serial iteration ran its learners on (1 in process mode)
-        self.learner_lanes = 1
         self._iteration = 0
         self._last_lr = self.schedule.rate(0.0)
         self._accuracy_before_lr_change: Optional[float] = None
@@ -421,108 +413,63 @@ class CrossbowTrainer:
                         "pool_respawns": self._executor.respawns,
                         "pool_resizes_in_place": self._executor.resizes_in_place,
                     }
-                    if self._executor is not None
+                    if isinstance(self._executor, ProcessExecutor)
                     else {}
                 ),
             },
         )
 
     def _train_epoch(self, epoch: int) -> float:
-        """One pass over the training data; returns the mean training loss."""
-        if self._executor is not None:
-            if self.config.pipeline_depth == 1:
-                return self._train_epoch_pipelined(epoch)
-            return self._train_epoch_process(epoch)
-        losses: List[float] = []
-        batch_iter = self.pipeline.epoch_batches(epoch)
-        pending: List[Batch] = []
-        exhausted = False
-        # The lanes' helper threads live only inside this block: none is alive
-        # at evaluation, checkpoint publish, an evaluator-pool fork or close().
-        with LearnerLanes() as lanes:
-            while not exhausted:
-                # Collect one batch per learner for this SMA iteration.
-                pending.clear()
-                for _ in range(len(self.learners)):
-                    try:
-                        pending.append(next(batch_iter))
-                    except StopIteration:
-                        exhausted = True
-                        break
-                if len(pending) < len(self.learners):
-                    break
-                losses.append(self._run_iteration(pending, lanes))
-                self._maybe_autotune()
-        self.learner_lanes = max(self.learner_lanes, lanes.widest)
-        return float(np.mean(losses)) if losses else float("nan")
+        """One pass over the training data; returns the mean training loss.
 
-    def _train_epoch_process(self, epoch: int) -> float:
-        """One epoch under ``execution="process"``: workers stream their shards.
+        Each iteration issues one learning task per learner to the executor
+        (worker processes, or the in-process lanes), collects the ``k``
+        losses and runs the fused synchronisation step here; the epoch ends
+        when fewer than ``k`` batches remain.  ``pipeline_depth`` is the only
+        difference between the schedules:
 
-        Mirrors the serial loop exactly — one iteration consumes ``k`` global
-        batches and the epoch ends when fewer than ``k`` remain — but the
-        batches are materialised inside the worker processes from the epoch
-        permutation broadcast at :meth:`ProcessExecutor.begin_epoch`.
+        * ``0`` — each collected iteration is applied at once, in place.
+        * ``1`` — it becomes the pending iteration.  The next iteration is
+          issued against the still-published weights (staleness 1), and the
+          pending one is applied **into the back buffer** while the workers
+          compute, then published with a buffer flip.  The first iteration
+          after an epoch start (or a resize) has nothing pending, so runs on
+          fresh weights.
+
+        The epoch end flushes the last pending update and copies the
+        published buffer back into the bank, so every quiescent boundary
+        (evaluation, checkpoint, resize, close) observes the bank as the
+        single source of truth, at either depth.
         """
         executor = self._executor
-        assert executor is not None
+        depth = self.config.pipeline_depth
         losses: List[float] = []
         executor.begin_epoch(epoch)
-        while executor.batches_remaining() >= len(self.learners):
-            losses.append(self._run_iteration_process())
-            self._maybe_autotune()
-        return float(np.mean(losses)) if losses else float("nan")
-
-    def _train_epoch_pipelined(self, epoch: int) -> float:
-        """One epoch under ``pipeline_depth=1``: sync overlaps the next gradients.
-
-        The software pipeline per iteration ``t`` (steady state):
-
-        1. *Issue* step ``t`` — workers read the published weight buffer
-           (which still holds the weights of iteration ``t-1``: staleness 1)
-           and write raw gradients into the update buffer that is *not* being
-           consumed by the parent.
-        2. *Apply* the pending iteration ``t-1`` — the parent runs the fused
-           ``step_matrix`` **into the back buffer** while the workers compute,
-           then publishes it with a buffer flip.
-        3. *Collect* step ``t``'s losses; it becomes the new pending
-           iteration.
-
-        The first iteration after an epoch start (or a resize) has no pending
-        update, so its gradients are computed on fresh weights; the epoch end
-        flushes the last pending update and copies the published buffer back
-        into the bank, so every quiescent boundary (evaluation, checkpoint,
-        resize, close) observes the bank as the single source of truth —
-        exactly like depth 0.
-        """
-        executor = self._executor
-        assert executor is not None
-        losses_out: List[float] = []
-        executor.begin_epoch(epoch)
-        while executor.batches_remaining() >= len(self.learners):
-            update_index = self._next_update_index
-            staleness = 1 if self._pending is not None else 0
-            executor.issue_step(self.learners, self._published_index, update_index)
-            self._next_update_index = 1 - update_index
-            if self._pending is not None:
-                # The serial section of iteration t-1, hidden behind the
-                # workers' gradient computation of iteration t.
+        try:
+            while executor.batches_remaining() >= len(self.learners):
+                self._reserve_rows(len(self.learners))
+                update_index = self._next_update_index
+                staleness = 1 if self._pending is not None else 0
+                executor.issue_step(self.learners, self._published_index, update_index)
+                self._next_update_index = 1 - update_index if depth else 0
+                # Only at depth 1 is an iteration pending here: its serial
+                # section hides behind the workers' gradients of this one.
                 self._apply_pending(overlapped=True)
-            losses = executor.collect_step()
-            for index, learner in enumerate(self.learners):
-                learner.replica.iterations_processed += 1
-                learner.batches_processed += 1
-                learner.last_loss = float(losses[index])
-            self._pending = _PendingIteration(
-                losses=losses,
-                replicas=[learner.replica for learner in self.learners],
-                update_index=update_index,
-                staleness=staleness,
-            )
-            losses_out.append(float(np.mean(losses)))
-            self._maybe_autotune()
-        self._flush_pipeline()
-        return float(np.mean(losses_out)) if losses_out else float("nan")
+                step_losses = executor.collect_step()
+                self._pending = _PendingIteration(
+                    losses=step_losses,
+                    replicas=[learner.replica for learner in self.learners],
+                    update_index=update_index,
+                    staleness=staleness,
+                )
+                if depth == 0:
+                    self._apply_pending(overlapped=False)
+                losses.append(float(np.mean(step_losses)))
+                self._maybe_autotune()
+            self._flush_pipeline()
+        finally:
+            executor.end_epoch()
+        return float(np.mean(losses)) if losses else float("nan")
 
     def _weight_buffer(self, index: int) -> np.ndarray:
         """Full-capacity weight buffer ``index`` (0 = the bank, 1 = the shadow)."""
@@ -539,30 +486,29 @@ class CrossbowTrainer:
         return self._update_matrix_b
 
     def _apply_pending(self, overlapped: bool) -> None:
-        """Apply the pending pipelined iteration's fused update and flip buffers."""
+        """Apply the pending iteration's fused update; at depth 1, publish it with a flip."""
         pending = self._pending
         if pending is None:
             return
         self._pending = None
         k = len(pending.replicas)
         front = self._weight_buffer(self._published_index)[:k]
-        back_index = 1 - self._published_index
-        out = self._weight_buffer(back_index)[:k]
         updates = self._update_buffer(pending.update_index)[:k]
-        synchronise = self.synchroniser.should_synchronise()
+        # Depth 0 has no back buffer: the step moves the bank in place.
+        back_index = 1 - self._published_index
+        out = None if self._shadow_matrix is None else self._weight_buffer(back_index)[:k]
         self._finish_iteration(
             front,
             updates,
-            pending.losses,
             pending.replicas,
-            synchronise,
             out=out,
             overlapped=overlapped,
             staleness=pending.staleness,
         )
-        # Publish: the back buffer now holds the newest weights; the next
-        # issued step addresses it and the old front becomes scratch.
-        self._published_index = back_index
+        if out is not None:
+            # Publish: the back buffer now holds the newest weights; the next
+            # issued step addresses it and the old front becomes scratch.
+            self._published_index = back_index
 
     def _flush_pipeline(self) -> None:
         """Barrier: apply any pending update and republish the bank (buffer 0).
@@ -586,72 +532,22 @@ class CrossbowTrainer:
             self._published_index = 0
 
     def _bind_executor_buffers(self) -> None:
-        """Register the current shared weight/update buffers with the executor."""
-        assert self._executor is not None
+        """Register the current weight/update buffers with the executor."""
         extra = [] if self._shadow_matrix is None else [self._shadow_matrix]
         updates = [self._update_matrix]
         if self._update_matrix_b is not None:
             updates.append(self._update_matrix_b)
         self._executor.bind_buffers(self.replica_bank, extra, updates)
 
-    def _run_iteration(self, batches: List[Batch], lanes: LearnerLanes) -> float:
-        """Execute one SMA iteration: k learning tasks + synchronisation tasks."""
-        synchronise = self.synchroniser.should_synchronise()
-        replicas = [learner.replica for learner in self.learners]
-        k = len(self.learners)
-        if len(batches) != k:
-            # The fused update spans all k bank rows, so a short batch list
-            # would silently re-apply stale gradient rows to the tail replicas.
-            raise ConfigurationError(
-                f"iteration needs one batch per learner: got {len(batches)} batches "
-                f"for {k} learners"
-            )
-
-        # Numeric part: the lanes gather every learner's gradient into one
-        # (k, P) matrix, then the calling thread applies local updates,
-        # corrections and the central-model move as fused matrix ops on the
-        # replica bank — no per-learner flatten or unflatten round trips (the
-        # bank rows *are* the replica weights).
-        weights = self.replica_bank.active_matrix()
-        updates = self._update_rows(k)
-        losses = lanes.compute_gradients(self.learners, batches, updates)
-        for replica in replicas:
-            replica.iterations_processed += 1
-        return self._finish_iteration(weights, updates, losses, replicas, synchronise)
-
-    def _run_iteration_process(self) -> float:
-        """One SMA iteration with the gradients computed by the worker pool.
-
-        The workers write raw gradients into the shared ``(k, P)`` update
-        matrix; everything after that — learning-rate scaling, weight decay,
-        the fused synchronisation step and the simulated task schedule — is
-        identical to the serial path and runs in the parent, while the
-        workers prefetch their next shard batch.
-        """
-        assert self._executor is not None
-        synchronise = self.synchroniser.should_synchronise()
-        replicas = [learner.replica for learner in self.learners]
-        k = len(self.learners)
-        weights = self.replica_bank.active_matrix()
-        updates = self._update_rows(k)
-        losses = self._executor.run_iteration(self.learners)
-        for index, learner in enumerate(self.learners):
-            learner.replica.iterations_processed += 1
-            learner.batches_processed += 1
-            learner.last_loss = float(losses[index])
-        return self._finish_iteration(weights, updates, losses, replicas, synchronise)
-
     def _finish_iteration(
         self,
         weights: np.ndarray,
         updates: np.ndarray,
-        losses: np.ndarray,
         replicas: List[ModelReplica],
-        synchronise: bool,
         out: Optional[np.ndarray] = None,
         overlapped: bool = False,
         staleness: int = 0,
-    ) -> float:
+    ) -> None:
         """Apply the fused update to the bank and schedule the simulated tasks.
 
         With ``out`` (pipelined mode) the new weights land in the back buffer
@@ -660,6 +556,7 @@ class CrossbowTrainer:
         newest published weights), not the stale view the gradients were
         computed on.  ``overlapped``/``staleness`` feed the sync counters.
         """
+        synchronise = self.synchroniser.should_synchronise()
         started = time.perf_counter()
         # Sanitized windows for the whole fused-update section: the update
         # rows are scaled in place (a write), the published weights are read
@@ -696,36 +593,32 @@ class CrossbowTrainer:
         )
         self.task_manager.handle_completion(timing, num_learning_tasks=len(replicas))
         self._iteration += 1
-        return float(np.mean(losses))
 
-    def _update_rows(self, k: int) -> np.ndarray:
-        """The first ``k`` rows of the persistent (k, P) update scratch matrix.
+    def _new_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """A float32 ``(rows, cols)`` buffer, in shared memory under process execution."""
+        if self.config.execution != "process":
+            return np.zeros((rows, cols), dtype=np.float32)
+        segment = SharedMatrix(rows, cols)
+        self._shared_segments.append(segment)
+        return segment.array
 
-        Growth past the pre-allocated row count re-allocates the matrix; in
-        process mode the replacement is another shared-memory segment and the
-        worker pool is invalidated so it respawns against the new rows.
+    def _reserve_rows(self, k: int) -> None:
+        """Grow the update (and pipelined shadow) buffers to at least ``k`` rows.
+
+        Re-binding different buffer objects invalidates a worker pool, so it
+        respawns against the new rows.  Old segments stay alive (and in
+        ``self._shared_segments``) until :meth:`close`: running workers may
+        still map them mid-invalidate.
         """
-        if k > self._update_matrix.shape[0]:
-            cols = self._update_matrix.shape[1]
-            if self._executor is not None:
-                # Old segments stay alive (and in self._shared_segments) until
-                # close(): running workers may still map them mid-invalidate.
-                update = SharedMatrix(k, cols)
-                self._shared_segments.append(update)
-                self._update_matrix = update.array
-                if self._update_matrix_b is not None:
-                    update_b = SharedMatrix(k, cols)
-                    self._shared_segments.append(update_b)
-                    self._update_matrix_b = update_b.array
-                if self._shadow_matrix is not None:
-                    shadow = SharedMatrix(k, cols)
-                    self._shared_segments.append(shadow)
-                    self._shadow_matrix = shadow.array
-                # Re-binding different buffer objects invalidates the pool.
-                self._bind_executor_buffers()
-            else:
-                self._update_matrix = np.zeros((k, cols), dtype=np.float32)
-        return self._update_matrix[:k]
+        if k <= self._update_matrix.shape[0]:
+            return
+        cols = self._update_matrix.shape[1]
+        self._update_matrix = self._new_matrix(k, cols)
+        if self._update_matrix_b is not None:
+            self._update_matrix_b = self._new_matrix(k, cols)
+        if self._shadow_matrix is not None:
+            self._shadow_matrix = self._new_matrix(k, cols)
+        self._bind_executor_buffers()
 
     def _decay_rows(self, k: int) -> np.ndarray:
         """The first ``k`` rows of the persistent weight-decay scratch matrix."""
@@ -826,8 +719,7 @@ class CrossbowTrainer:
         is not possible (see :meth:`ProcessExecutor.resize`).
         """
         self.replica_bank.pack([learner.replica for learner in self.learners])
-        if self._executor is not None:
-            self._executor.resize(self.learners)
+        self._executor.resize(self.learners)
         self._rebuild_synchroniser_preserving_center()
         # The synchroniser object (and its version counter) was replaced, and
         # the replica set changed; drop the cached central model outright.
@@ -891,10 +783,9 @@ class CrossbowTrainer:
         key = (getattr(self.synchroniser, "version", -1), len(self.learners))
         if self._central_cache is not None and key == self._central_cache_key:
             return self._central_cache
-        if self._executor is not None:
-            # Batch-norm statistics accumulate in the worker processes; pull
-            # them back before averaging (weights never need this round trip).
-            self._executor.sync_buffers()
+        # Under process execution batch-norm statistics accumulate in the
+        # workers; pull them back before averaging (weights never need this).
+        self._executor.sync_buffers()
         model = self.initial_model.clone()
         model.load_parameter_vector(np.asarray(self.synchroniser.center))
         replica_models = [learner.replica.model for learner in self.learners]
@@ -967,12 +858,11 @@ class CrossbowTrainer:
         (models keep private copies of their weights), so the trainer stays
         usable for evaluation — but not for further training.
         """
-        if self._executor is not None:
-            # Apply any pipelined in-flight update so the final central model
-            # and bank state reflect every collected gradient.  The flush is
-            # parent-side arithmetic only, so it is safe even if workers died.
-            self._flush_pipeline()
-            self._executor.close()
+        # Apply any pipelined in-flight update so the final central model and
+        # bank state reflect every collected gradient.  The flush is
+        # parent-side arithmetic only, so it is safe even if workers died.
+        self._flush_pipeline()
+        self._executor.close()
         if isinstance(self.replica_bank, SharedReplicaBank):
             self.replica_bank.close()
         if self._shared_segments:
@@ -1001,3 +891,8 @@ class CrossbowTrainer:
 
     def central_model_vector(self) -> np.ndarray:
         return np.array(self.synchroniser.center, copy=True)
+
+    @property
+    def learner_lanes(self) -> int:
+        """The most lanes any serial iteration ran its learners on (1 in process mode)."""
+        return self._executor.widest if isinstance(self._executor, LearnerLanes) else 1

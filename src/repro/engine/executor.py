@@ -604,11 +604,6 @@ class WorkerPool(ForkedWorkerPool):
             self._inflight = False
         return np.array(losses, dtype=np.float64)
 
-    def step(self, weights_index: int = 0, updates_index: int = 0) -> np.ndarray:
-        """Run one learning task per worker; returns the ``(k,)`` loss vector."""
-        self.issue_step(weights_index, updates_index)
-        return self.collect_step()
-
     @property
     def step_in_flight(self) -> bool:
         return self._inflight
@@ -673,21 +668,21 @@ class WorkerPool(ForkedWorkerPool):
 class ProcessExecutor:
     """Trainer-facing facade over the worker pool and the sharded input path.
 
-    Owns the epoch/iteration bookkeeping the serial loop keeps implicitly in
-    its batch iterator: which epoch is streaming, its permutation, and how
-    many global batches have been consumed.  The pool itself is spawned
-    lazily — on the first iteration, and again whenever :meth:`invalidate`
-    marks the current one stale (shared-matrix reallocation) — so forks
-    always inherit the trainer's *current* learner and bank state.
+    Owns the epoch bookkeeping: which epoch is streaming, its permutation,
+    and how many global batches have been consumed.  The pool itself is
+    spawned lazily — on the first iteration, and again whenever
+    :meth:`invalidate` marks the current one stale (shared-matrix
+    reallocation) — so forks always inherit the trainer's *current* learner
+    and bank state.
 
-    Two features distinguish it from the PR-2 executor:
+    :class:`~repro.engine.learner.LearnerLanes` has the same trainer-facing
+    surface in-process, so one training loop drives both.  Beyond it:
 
-    * **Split step protocol** — :meth:`issue_step` / :meth:`collect_step` let
-      the trainer overlap the fused synchronisation of iteration ``t`` with
-      the workers' gradient computation of iteration ``t+1`` (pipelined
-      execution, ``pipeline_depth=1``), addressing the published weight
-      buffer and the gradient buffer per step.  :meth:`run_iteration` remains
-      the fused issue+collect used by ``pipeline_depth=0``.
+    * **Split step protocol** — :meth:`issue_step` / :meth:`collect_step`
+      address the published weight buffer and the gradient buffer per step,
+      so at ``pipeline_depth=1`` the trainer overlaps the fused
+      synchronisation of iteration ``t`` with the workers' gradient
+      computation of iteration ``t+1``.
     * **Persistent resize** — :meth:`resize` re-shards the live pool in place
       (see :meth:`WorkerPool.resize`) instead of stopping and respawning
       every fork, unless augmentation state would have to migrate across
@@ -769,17 +764,10 @@ class ProcessExecutor:
             return 0
         return self.pipeline.batches_per_epoch - self._consumed
 
+    def end_epoch(self) -> None:
+        """Nothing to release: the workers keep their streams across epochs."""
+
     # -- iteration protocol --------------------------------------------------------------
-    def run_iteration(self, learners: Sequence[Learner]) -> np.ndarray:
-        """Compute one gradient per learner in parallel; returns ``(k,)`` losses.
-
-        The synchronous protocol of ``pipeline_depth=0``: equivalent to
-        :meth:`issue_step` immediately followed by :meth:`collect_step`,
-        always addressing weight buffer 0 (the bank) and update buffer 0.
-        """
-        self.issue_step(learners)
-        return self.collect_step()
-
     def issue_step(
         self,
         learners: Sequence[Learner],

@@ -6,9 +6,9 @@ The local update (gradient plus SMA correction) is applied by the trainer once
 the synchronisation algorithm has produced the correction, matching lines 8–10
 of Algorithm 1.
 
-:class:`LearnerLanes` runs the learners of one in-process iteration at the same
-time, one lane per core that BLAS leaves free — the CPU analogue of the
-learners of one GPU sharing it through their own streams (§4).
+:class:`LearnerLanes` is the in-process executor: it runs the learners of one
+iteration at the same time, one lane per core that BLAS leaves free — the CPU
+analogue of the learners of one GPU sharing it through their own streams (§4).
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import contextlib
 import os
 import queue
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.batching import Batch
-from repro.engine.replica import ModelReplica
+from repro.data.batching import Batch, BatchPipeline
+from repro.engine.replica import ModelReplica, ReplicaBank
+from repro.errors import SchedulingError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.metrics import accuracy
 from repro.tensor.tensor import Tensor, no_grad
@@ -170,30 +171,100 @@ class _HelperLane:
 
 
 class LearnerLanes:
-    """Runs the learners of one in-process SMA iteration on parallel lanes.
+    """The in-process executor: each SMA iteration's learners on parallel lanes.
+
+    It has :class:`~repro.engine.executor.ProcessExecutor`'s trainer-facing
+    surface, so one training loop drives both.  Batches come from the serial
+    :class:`~repro.data.batching.BatchPipeline` in its order (batch
+    ``i·k + j`` of an epoch to learner ``j``); :meth:`issue_step` takes them
+    and :meth:`collect_step` runs the passes.
 
     Lane 0 is the calling thread; lanes ``1..w-1`` are helper threads, each
-    pinned to its own CPU, started when a width first needs them and stopped
-    by :meth:`close`.  Learner ``j`` runs on lane ``j mod w``, where ``w`` is
-    :func:`lane_width` of the learner count.  Each learner owns its model, its
-    dropout stream and its row of the update matrix, so the floats do not
-    depend on ``w``.  Use it as a context manager: no helper outlives the
-    ``with`` block.
+    pinned to its own CPU, started when a width first needs them and joined
+    by :meth:`end_epoch` (or :meth:`close`), so none outlives its epoch.
+    Learner ``j`` runs on lane ``j mod w``, where ``w`` is :func:`lane_width`
+    of the learner count.  Each learner owns its model, its dropout stream
+    and its row of the update matrix, so the floats do not depend on ``w``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pipeline: BatchPipeline) -> None:
+        self.pipeline = pipeline
         self._helpers: List[_HelperLane] = []
+        self._update_matrices: List[np.ndarray] = []
+        self._epoch: Optional[int] = None
+        self._batches: Iterator[Batch] = iter(())
+        self._remaining = 0
+        self._step: Optional[Tuple[List[Learner], List[Batch], np.ndarray]] = None
         #: the widest iteration run so far
         self.widest = 1
 
-    def compute_gradients(
-        self, learners: Sequence[Learner], batches: Sequence[Batch], updates: np.ndarray
-    ) -> np.ndarray:
-        """Learner ``j``'s gradient on ``batches[j]`` into ``updates[j]``; the ``k`` losses.
+    def bind_buffers(
+        self,
+        bank: ReplicaBank,
+        extra_weight_matrices: Sequence[np.ndarray] = (),
+        update_matrices: Sequence[np.ndarray] = (),
+    ) -> None:
+        """Register the gradient buffers steps write (learners read their own bank rows)."""
+        self._update_matrices = list(update_matrices)
+
+    # -- epoch protocol ------------------------------------------------------------------
+    def begin_epoch(self, epoch: int) -> None:
+        """Start drawing epoch ``epoch``'s batches."""
+        self._epoch = epoch
+        self._batches = self.pipeline.epoch_batches(epoch)
+        self._remaining = self.pipeline.batches_per_epoch
+
+    def batches_remaining(self) -> int:
+        """Batches left in the current epoch (issued steps count as consumed)."""
+        return self._remaining
+
+    def end_epoch(self) -> None:
+        """Draw the epoch's tail (fewer than ``k`` batches), then join the helpers.
+
+        The tail advances the augmentation stream and finishes the pipeline's
+        epoch, as a loop that ran the iterator dry would.
+        """
+        try:
+            for _ in self._batches:
+                pass
+        finally:
+            self._batches = iter(())
+            self._remaining = 0
+            self.close()
+
+    # -- iteration protocol --------------------------------------------------------------
+    def issue_step(
+        self, learners: Sequence[Learner], weights_index: int = 0, updates_index: int = 0
+    ) -> None:
+        """Take the next batch for each learner; :meth:`collect_step` runs the passes.
+
+        Learner ``j``'s gradient lands in row ``j`` of update buffer
+        ``updates_index``.  In-process learners read their own rows of the
+        bank, so ``weights_index`` is only ever 0 (depth 1 needs processes).
+        """
+        if self._epoch is None:
+            raise SchedulingError("issue_step() before begin_epoch()")
+        if self._step is not None:
+            raise SchedulingError("a step is already in flight")
+        if self._remaining < len(learners):
+            raise SchedulingError(
+                f"epoch {self._epoch} has {self._remaining} batches left "
+                f"for {len(learners)} learners"
+            )
+        batches = [next(self._batches) for _ in learners]
+        self._remaining -= len(learners)
+        self._step = (list(learners), batches, self._update_matrices[updates_index])
+
+    def collect_step(self) -> np.ndarray:
+        """Run the issued step on every lane; returns the ``(k,)`` losses.
 
         Returns once every lane has finished.  If any learner raised, the
         first lane's error (in lane order) is re-raised then.
         """
+        if self._step is None:
+            raise SchedulingError("no step in flight to collect")
+        learners, batches, updates = self._step
+        self._step = None
         k = len(learners)
         width = lane_width(k)
         self.widest = max(self.widest, width)
@@ -216,14 +287,15 @@ class LearnerLanes:
                 raise error
         return losses
 
+    # -- what the trainer also calls on a ProcessExecutor --------------------------------
+    def resize(self, learners: Sequence[Learner]) -> None:
+        """Nothing to re-shard: every step hands over the learners it runs."""
+
+    def sync_buffers(self) -> None:
+        """Nothing to copy back: the learners' BatchNorm buffers are the parent's."""
+
     def close(self) -> None:
         """Stop and join every helper thread (idempotent)."""
         helpers, self._helpers = self._helpers, []
         for helper in helpers:
             helper.stop()
-
-    def __enter__(self) -> "LearnerLanes":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

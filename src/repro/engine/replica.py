@@ -31,7 +31,6 @@ class ModelReplica:
         self.model = model
         self.gpu_id = gpu_id
         self.stream_id = stream_id
-        self.iterations_processed = 0
         self.bank: Optional["ReplicaBank"] = None
         self.bank_row: Optional[int] = None
 

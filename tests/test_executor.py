@@ -266,7 +266,8 @@ class TestProcessExecution:
             pool._handles[0].process.terminate()
             pool._handles[0].process.join(timeout=10.0)
             with pytest.raises(SchedulingError, match="died without reporting"):
-                pool.step()
+                pool.issue_step()
+                pool.collect_step()
         finally:
             trainer.close()
 

@@ -283,7 +283,8 @@ class TestPersistentPool:
             trainer._grow_learners()
             assert executor._pool is pool_before
             assert pool_before.num_workers == len(trainer.learners)
-            losses = executor.run_iteration(trainer.learners)
+            executor.issue_step(trainer.learners)
+            losses = executor.collect_step()
             assert losses.shape == (len(trainer.learners),)
             assert np.isfinite(losses).all()
         finally:
