@@ -4,47 +4,43 @@
 This example exercises the whole public API in under a minute on a laptop CPU:
 it builds a synthetic classification dataset, trains it with the TensorFlow-style
 parallel S-SGD baseline and with Crossbow (two learners per simulated GPU), and
-prints the time-to-accuracy of both systems.
+prints the time-to-accuracy of both systems.  Both run through the same trainer;
+only the synchroniser differs.
 
-Run with:  python examples/quickstart.py
+Run with:  PYTHONPATH=src python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-from repro.engine import CrossbowConfig, CrossbowTrainer, SSGDConfig, SSGDTrainer
+from repro.engine import CrossbowConfig, CrossbowTrainer
 from repro.experiments import format_table
 
 TARGET_ACCURACY = 0.95
 DATASET = {"num_train": 512, "num_test": 256}
 
 
-def main() -> None:
-    print("=== Crossbow quickstart: MLP on synthetic 'blobs' data, 2 simulated GPUs ===\n")
-
-    ssgd_config = SSGDConfig(
-        model_name="mlp",
-        dataset_name="blobs",
-        num_gpus=2,
-        batch_size=32,  # aggregate batch, partitioned across the 2 GPUs
-        max_epochs=8,
-        target_accuracy=TARGET_ACCURACY,
-        dataset_overrides=DATASET,
-        seed=7,
-    )
-    ssgd_result = SSGDTrainer(ssgd_config).train()
-
-    crossbow_config = CrossbowConfig(
+def train(**options):
+    config = CrossbowConfig(
         model_name="mlp",
         dataset_name="blobs",
         num_gpus=2,
         batch_size=16,  # per-learner batch: small batches are the whole point
-        replicas_per_gpu=2,
         max_epochs=8,
         target_accuracy=TARGET_ACCURACY,
         dataset_overrides=DATASET,
         seed=7,
+        **options,
     )
-    crossbow_result = CrossbowTrainer(crossbow_config).train()
+    return CrossbowTrainer(config).train()
+
+
+def main() -> None:
+    print("=== Crossbow quickstart: MLP on synthetic 'blobs' data, 2 simulated GPUs ===\n")
+
+    # S-SGD: one replica per GPU, each on 16 samples of an aggregate batch of 32.
+    ssgd_result = train(synchronisation="ssgd")
+    # Crossbow: two learners per GPU, kept together by SMA.
+    crossbow_result = train(replicas_per_gpu=2)
 
     rows = [ssgd_result.summary(), crossbow_result.summary()]
     print(format_table(rows))

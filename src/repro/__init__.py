@@ -8,10 +8,11 @@ The public API is organised in layers:
   synthetic datasets),
 * :mod:`repro.gpusim` — a discrete-event multi-GPU server simulator standing in
   for the 8-GPU testbed used in the paper,
-* :mod:`repro.optim` — SGD with momentum, SMA (the paper's Algorithm 1),
-  EA-SGD and learning-rate schedules,
+* :mod:`repro.optim` — SMA (the paper's Algorithm 1), EA-SGD, the S-SGD
+  baseline's update, SGD with momentum and learning-rate schedules,
 * :mod:`repro.engine` — the Crossbow task engine (learners, replica pools,
-  task scheduler, auto-tuner, memory planner) and the S-SGD baseline trainer,
+  task scheduler, auto-tuner, memory planner), whose one training loop also
+  runs the S-SGD baseline,
 * :mod:`repro.experiments` — workload definitions and runners for every table
   and figure in the paper's evaluation.
 """

@@ -1,4 +1,4 @@
-"""The Crossbow task engine and the S-SGD baseline trainer.
+"""The Crossbow task engine, which also trains the S-SGD baseline.
 
 This package is the paper's primary contribution: the system that trains many
 small-batch model replicas per GPU and keeps them synchronised with SMA while
@@ -6,9 +6,9 @@ hiding the synchronisation cost behind learning tasks.
 
 * :class:`~repro.engine.crossbow.CrossbowTrainer` — the full system: learners,
   replica pools, FCFS task scheduler with overlap, hierarchical SMA
-  synchronisation, auto-tuned number of learners per GPU.
-* :class:`~repro.engine.baseline.SSGDTrainer` — the TensorFlow-style parallel
-  synchronous SGD baseline used throughout the evaluation.
+  synchronisation, auto-tuned number of learners per GPU.  The same loop runs
+  the TensorFlow-style parallel synchronous SGD baseline used throughout the
+  evaluation, as ``CrossbowConfig(synchronisation="ssgd")``.
 * :mod:`~repro.engine.metrics` — time-to-accuracy / epochs-to-accuracy
   bookkeeping with the paper's median-of-last-five-epochs rule.
 """
@@ -36,10 +36,9 @@ from repro.engine.memory_plan import (
     operator_specs_from_forward,
 )
 from repro.engine.dataflow import DataflowGraph, OperatorNode, trace_dataflow
-from repro.engine.config import CrossbowConfig, SSGDConfig
+from repro.engine.config import CrossbowConfig
 from repro.engine.modeselect import ProbeResult, probe_host, recommend, resolve_auto_execution
 from repro.engine.crossbow import CrossbowTrainer
-from repro.engine.baseline import SSGDTrainer
 
 __all__ = [
     "EpochRecord",
@@ -75,9 +74,7 @@ __all__ = [
     "OperatorNode",
     "trace_dataflow",
     "CrossbowConfig",
-    "SSGDConfig",
     "CrossbowTrainer",
-    "SSGDTrainer",
     "ProbeResult",
     "probe_host",
     "recommend",

@@ -1,9 +1,10 @@
-"""Trainer configuration objects.
+"""Trainer configuration.
 
-A configuration fully describes one training run of either system.  The
-defaults follow the paper's experimental set-up (§5.1): hyper-parameters per
-model come from :mod:`repro.optim.schedules`, the server is the 8-GPU Titan X
-box, and Crossbow synchronises every iteration (τ = 1).
+A :class:`CrossbowConfig` fully describes one training run of either system:
+Crossbow, or the S-SGD baseline as ``synchronisation="ssgd"``.  The defaults
+follow the paper's experimental set-up (§5.1): hyper-parameters per model
+come from :mod:`repro.optim.schedules`, the server is the 8-GPU Titan X box,
+and Crossbow synchronises every iteration (τ = 1).
 """
 
 from __future__ import annotations
@@ -15,46 +16,29 @@ from repro.errors import ConfigurationError
 
 
 @dataclass
-class TrainerConfig:
-    """Options shared by both trainers."""
-
-    model_name: str = "resnet32-scaled"
-    dataset_name: str = "cifar10-scaled"
-    num_gpus: int = 1
-    batch_size: int = 32
-    learning_rate: Optional[float] = None  # None = the paper's value for this model
-    momentum: Optional[float] = None
-    weight_decay: Optional[float] = None
-    max_epochs: int = 20
-    target_accuracy: Optional[float] = None
-    seed: int = 7
-    evaluate_every_epochs: int = 1  # 0 disables evaluation entirely
-    use_augmentation: bool = False
-    dataset_overrides: Dict[str, int] = field(default_factory=dict)
-    model_overrides: Dict[str, float] = field(default_factory=dict)
-    trace_tasks: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_gpus < 1:
-            raise ConfigurationError("num_gpus must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigurationError("max_epochs must be >= 1")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            raise ConfigurationError("target_accuracy must be in (0, 1]")
-        if self.evaluate_every_epochs < 0:
-            raise ConfigurationError(
-                "evaluate_every_epochs must be >= 0 (0 disables evaluation)"
-            )
-
-
-@dataclass
-class CrossbowConfig(TrainerConfig):
-    """Configuration of the Crossbow trainer.
+class CrossbowConfig:
+    """Configuration of the one training loop, :class:`~repro.engine.crossbow.CrossbowTrainer`.
 
     ``replicas_per_gpu`` is the initial number of learners per GPU (``m``); when
     ``auto_tune`` is enabled the number adapts at runtime per Algorithm 2.
+    ``batch_size`` is each learner's batch ``b``.  ``momentum`` is S-SGD's
+    velocity momentum; SMA's central momentum is ``sma_momentum``, and EA-SGD
+    has none.
+
+    ``synchronisation`` selects the step that follows each iteration's ``k``
+    gradients:
+
+    * ``"sma"`` (default) — synchronous model averaging, Algorithm 1, with
+      ``sma_momentum`` and ``sma_alpha``;
+    * ``"easgd"`` — elastic averaging SGD (§5.5), with elasticity
+      ``sma_alpha``;
+    * ``"none"`` — SMA with α = 0: replicas are never corrected (the τ = ∞
+      ablation);
+    * ``"ssgd"`` — the TensorFlow-style S-SGD baseline (§2.3, Figure 1): one
+      replica per GPU, each on a ``batch_size`` share of an aggregate batch of
+      ``num_gpus × batch_size``, and one momentum-SGD update (``momentum``)
+      with the averaged gradient, behind a global barrier.  It takes neither
+      ``auto_tune`` nor ``pipeline_depth=1``.
 
     ``execution`` selects how the numeric learning tasks run:
 
@@ -95,6 +79,22 @@ class CrossbowConfig(TrainerConfig):
     with augmentation on, falls back to stop-everything-and-respawn.
     """
 
+    model_name: str = "resnet32-scaled"
+    dataset_name: str = "cifar10-scaled"
+    num_gpus: int = 1
+    batch_size: int = 32
+    learning_rate: Optional[float] = None  # None = the paper's value for this model
+    momentum: Optional[float] = None
+    weight_decay: Optional[float] = None
+    max_epochs: int = 20
+    target_accuracy: Optional[float] = None
+    seed: int = 7
+    evaluate_every_epochs: int = 1  # 0 disables evaluation entirely
+    use_augmentation: bool = False
+    dataset_overrides: Dict[str, int] = field(default_factory=dict)
+    model_overrides: Dict[str, float] = field(default_factory=dict)
+    trace_tasks: bool = False
+
     replicas_per_gpu: int = 1
     execution: str = "serial"  # "serial", "process" or "auto" (probe-driven)
     pipeline_depth: int = 0  # 0 = synchronous, 1 = overlap sync with next gradients
@@ -105,19 +105,30 @@ class CrossbowConfig(TrainerConfig):
     sma_momentum: float = 0.9
     sma_alpha: Optional[float] = None
     synchronisation_period: int = 1  # τ; 1 = synchronise every iteration
-    # "sma", "easgd", or "none" (the SMA container with alpha = 0: replicas are
-    # never corrected -- the tau = infinity ablation)
-    synchronisation: str = "sma"
+    synchronisation: str = "sma"  # "sma", "easgd", "none" or "ssgd"
     restart_on_lr_change: bool = True
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.num_gpus < 1:
+            raise ConfigurationError("num_gpus must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigurationError("max_epochs must be >= 1")
+        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
+            raise ConfigurationError("target_accuracy must be in (0, 1]")
+        if self.evaluate_every_epochs < 0:
+            raise ConfigurationError(
+                "evaluate_every_epochs must be >= 0 (0 disables evaluation)"
+            )
         if self.replicas_per_gpu < 1:
             raise ConfigurationError("replicas_per_gpu must be >= 1")
         if self.max_replicas_per_gpu < self.replicas_per_gpu:
             raise ConfigurationError("max_replicas_per_gpu must be >= replicas_per_gpu")
-        if self.synchronisation not in ("sma", "easgd", "none"):
-            raise ConfigurationError("synchronisation must be 'sma', 'easgd' or 'none'")
+        if self.synchronisation not in ("sma", "easgd", "none", "ssgd"):
+            raise ConfigurationError(
+                "synchronisation must be 'sma', 'easgd' or 'none' (or 'ssgd', the S-SGD baseline)"
+            )
         if self.execution not in ("serial", "process", "auto"):
             raise ConfigurationError("execution must be 'serial', 'process' or 'auto'")
         if self.pipeline_depth not in (0, 1):
@@ -132,19 +143,11 @@ class CrossbowConfig(TrainerConfig):
             )
         if self.synchronisation_period < 1:
             raise ConfigurationError("synchronisation period τ must be >= 1")
-
-
-@dataclass
-class SSGDConfig(TrainerConfig):
-    """Configuration of the TensorFlow-style parallel S-SGD baseline.
-
-    ``batch_size`` is the *aggregate* batch size, partitioned equally across
-    GPUs each iteration (Figure 1 of the paper).
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.batch_size < self.num_gpus:
+        if self.synchronisation == "ssgd" and (
+            self.replicas_per_gpu != 1 or self.auto_tune or self.pipeline_depth == 1
+        ):
+            # Figure 1: one replica per GPU, every iteration behind a barrier.
             raise ConfigurationError(
-                "aggregate batch size must be at least the number of GPUs"
+                "synchronisation='ssgd' runs one replica per GPU with a global "
+                "barrier: it takes replicas_per_gpu=1, no auto_tune and pipeline_depth=0"
             )

@@ -1,15 +1,17 @@
-"""The Crossbow trainer: learners, SMA synchronisation, task engine, auto-tuner.
+"""The one training loop: learners, a synchroniser, task engine, auto-tuner.
 
 One training run couples two things:
 
-* the **numeric training** of ``g × m`` model replicas with SMA (real NumPy
-  forward/backward passes, Algorithm 1 applied to the flat parameter vectors),
+* the **numeric training** of ``g × m`` model replicas (real NumPy
+  forward/backward passes, then one fused synchronisation step over the flat
+  parameter vectors: SMA's Algorithm 1, EA-SGD, or the S-SGD baseline's
+  averaged momentum-SGD update),
 * the **simulated execution** of the corresponding learning and synchronisation
   tasks on the multi-GPU server (:mod:`repro.gpusim`), which yields the
   throughput and time-to-accuracy numbers the paper reports.
 
-Test accuracy is always evaluated on the central average model ``z``, which is
-the model SMA returns upon termination.
+Test accuracy is always evaluated on the central model ``z``: the central
+average model SMA returns upon termination, or S-SGD's one shared model.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.engine.executor import ProcessExecutor, SharedMatrix, SharedReplicaBa
 from repro.engine.learner import Learner, LearnerLanes, blas_threads, usable_cpus
 from repro.engine.metrics import EpochRecord, SyncCounters, TrainingMetrics, TrainingResult
 from repro.engine.replica import ModelReplica, ReplicaBank, ReplicaPool
-from repro.engine.scheduler import SchedulingPolicy, TaskScheduler
+from repro.engine.scheduler import IterationTiming, SchedulingPolicy, TaskScheduler
 from repro.engine.task_manager import TaskManager
 from repro.errors import ConfigurationError
 from repro.models import create_model
@@ -41,7 +43,7 @@ from repro.serve.checkpoint import Checkpoint, CheckpointStore
 from repro.optim.easgd import EASGD, EASGDConfig
 from repro.optim.schedules import hyperparameters_for_model, schedule_for_model
 from repro.optim.sma import SMA, SMAConfig
-from repro.tensor.backend import KernelBackend
+from repro.optim.ssgd import SSGD
 from repro.gpusim import Tracer, cost_profile_for_model, titan_x_server
 from repro.telemetry.recorder import get_recorder
 from repro.utils.logging import get_logger
@@ -67,29 +69,64 @@ class _PendingIteration:
     staleness: int
 
 
+def _schedule_crossbow(
+    scheduler: TaskScheduler,
+    iteration: int,
+    replicas: List[ModelReplica],
+    batch_size: int,
+    synchronise: bool,
+) -> IterationTiming:
+    """Crossbow's task graph: FCFS learning tasks overlapping SMA's sync tasks."""
+    return scheduler.schedule_iteration(
+        iteration=iteration, replicas=replicas, batch_size=batch_size, synchronise=synchronise
+    )
+
+
+def _schedule_ssgd(
+    scheduler: TaskScheduler,
+    iteration: int,
+    replicas: List[ModelReplica],
+    batch_size: int,
+    synchronise: bool,
+) -> IterationTiming:
+    """S-SGD's task graph: per-GPU gradients, all-reduce, update, global barrier."""
+    return scheduler.schedule_ssgd_iteration(iteration=iteration, batch_per_gpu=batch_size)
+
+
 class CrossbowTrainer:
     """Trains a model with the Crossbow system design described in §3 and §4.
 
     Per iteration, ``k`` learners each compute a gradient on their own small
     batch; the gradients are gathered into a ``(k, P)`` update matrix and the
-    whole Algorithm-1 step — local updates, corrections, central-model move —
-    is applied as fused matrix operations on the :class:`ReplicaBank`, whose
-    row ``j`` *is* learner ``j``'s weights.  Alongside the numeric training,
-    the corresponding learning/synchronisation tasks are scheduled on the
-    simulated multi-GPU server, producing the throughput and time-to-accuracy
-    numbers the paper reports.
+    whole Algorithm-1 step — learning rate and weight decay, local updates,
+    corrections, central-model move — is applied as fused matrix operations
+    on the :class:`ReplicaBank`, whose row ``j`` *is* learner ``j``'s
+    weights.  Alongside the numeric training, the corresponding
+    learning/synchronisation tasks are scheduled on the simulated multi-GPU
+    server, producing the throughput and time-to-accuracy numbers the paper
+    reports.
+
+    The paper's S-SGD baseline (§2.3, Figure 1) runs through the same loop as
+    ``synchronisation="ssgd"``: one learner per GPU on its ``batch_size``
+    share of the aggregate batch, and a synchroniser that averages the ``g``
+    gradient rows into one momentum-SGD update of every replica.  Three
+    things differ, each fixed at construction: the root RNG stream is named
+    ``"ssgd"``, the simulated iteration is the lock-step S-SGD task graph
+    (:meth:`TaskScheduler.schedule_ssgd_iteration`), and the result's
+    ``system`` is ``"tensorflow-ssgd"``.
 
     Parameters
     ----------
     config : CrossbowConfig
         Full description of the run: model, dataset, learner topology
-        (``num_gpus × replicas_per_gpu``), SMA hyper-parameters, auto-tuning,
-        and the execution mode.  With ``execution="process"`` the gradient
-        computations run in one worker process per learner over a
-        shared-memory bank (:mod:`repro.engine.executor`), each worker
-        streaming its own dataset shard; ``execution="serial"`` (default)
-        keeps them in-process, running an iteration's ``k`` passes at once
-        on one CPU-pinned lane per core that BLAS leaves free
+        (``num_gpus × replicas_per_gpu``), synchroniser and its
+        hyper-parameters, auto-tuning, and the execution mode.  With
+        ``execution="process"`` the gradient computations run in one worker
+        process per learner over a shared-memory bank
+        (:mod:`repro.engine.executor`), each worker streaming its own
+        dataset shard; ``execution="serial"`` (default) keeps them
+        in-process, running an iteration's ``k`` passes at once on one
+        CPU-pinned lane per core that BLAS leaves free
         (:class:`~repro.engine.learner.LearnerLanes`).  Fixed-seed runs of
         the two modes, at any lane width, produce bit-identical central
         models when augmentation is disabled.
@@ -98,8 +135,9 @@ class CrossbowTrainer:
     -----
     Shape conventions used throughout: ``k`` = number of learners, ``P`` =
     flat parameter count, ``W`` = the ``(k, P)`` active bank matrix, ``U`` =
-    the ``(k, P)`` pre-scaled update matrix, ``z`` = the central average
-    model (a ``(P,)`` vector).  Test accuracy is always evaluated on ``z``.
+    the ``(k, P)`` matrix of raw gradient rows (the fused step scales it by
+    the learning rate and adds the decay term), ``z`` = the central model (a
+    ``(P,)`` vector).  Test accuracy is always evaluated on ``z``.
 
     Call :meth:`close` (or use the trainer briefly and let it be garbage
     collected) to release worker processes and shared-memory segments when
@@ -115,9 +153,11 @@ class CrossbowTrainer:
 
             config = resolve_auto_execution(config)
         self.config = config
-        #: the update-row scaling run before each fused step
-        self.backend = KernelBackend()
-        self.rng = RandomState(config.seed, name="crossbow")
+        ssgd = config.synchronisation == "ssgd"
+        # The S-SGD baseline keeps its own root stream, so its seeds draw the
+        # data order and initial model they always drew.
+        self.rng = RandomState(config.seed, name="ssgd" if ssgd else "crossbow")
+        self._system = "tensorflow-ssgd" if ssgd else "crossbow"
 
         # Data substrate -------------------------------------------------------------
         self.dataset = create_dataset(config.dataset_name, **config.dataset_overrides)
@@ -164,9 +204,12 @@ class CrossbowTrainer:
         self.scheduler = TaskScheduler(
             server=self.server,
             profile=self.profile,
-            policy=SchedulingPolicy.FCFS_OVERLAP,
+            policy=SchedulingPolicy.LOCKSTEP if ssgd else SchedulingPolicy.FCFS_OVERLAP,
             keep_task_records=config.trace_tasks,
         )
+        # A plain function, not a bound method: the trainer keeps no reference
+        # cycle, so dropping it frees its bank and replicas at once.
+        self._schedule_tasks = _schedule_ssgd if ssgd else _schedule_crossbow
         self.task_manager = TaskManager(window=max(4, config.auto_tune_interval))
 
         # Replicas and learners ------------------------------------------------------------
@@ -220,9 +263,6 @@ class CrossbowTrainer:
             self._shadow_matrix = self._new_matrix(max_learners, num_parameters)
         self._bind_executor_buffers()
         self.replica_pool = ReplicaPool(bank=self.replica_bank)
-        # Scratch for the weight-decay term, allocated lazily on first use so
-        # the hot path stays allocation-free without taxing decay-free runs.
-        self._decay_matrix = np.zeros((0, num_parameters), dtype=np.float32)
         self.learners: List[Learner] = []
         for gpu in self.server.gpus:
             for _ in range(config.replicas_per_gpu):
@@ -260,6 +300,8 @@ class CrossbowTrainer:
     # ------------------------------------------------------------------ construction helpers
     def _build_synchroniser(self, num_replicas: int):
         center = self.initial_model.parameter_vector()
+        if self.config.synchronisation == "ssgd":
+            return SSGD(center, num_replicas, self.momentum)
         if self.config.synchronisation == "easgd":
             return EASGD(
                 center,
@@ -392,7 +434,7 @@ class CrossbowTrainer:
             )
 
         return TrainingResult(
-            system="crossbow",
+            system=self._system,
             model_name=config.model_name,
             dataset_name=config.dataset_name,
             num_gpus=config.num_gpus,
@@ -558,9 +600,9 @@ class CrossbowTrainer:
         """
         synchronise = self.synchroniser.should_synchronise()
         started = time.perf_counter()
-        # Sanitized windows for the whole fused-update section: the update
-        # rows are scaled in place (a write), the published weights are read
-        # (pipelined) or stepped in place (depth 0), and the back buffer is
+        # Sanitized windows for the whole fused-update section: the step
+        # scales the gradient rows in place (a write), the published weights are
+        # read (pipelined) or stepped in place (depth 0), and the back buffer is
         # written.  Unregistered (serial-path) arrays resolve to no-op guards.
         rows = range(len(replicas))
         with contextlib.ExitStack() as guards:
@@ -570,12 +612,13 @@ class CrossbowTrainer:
             else:
                 guards.enter_context(guard_for(weights).read_rows(rows))
                 guards.enter_context(guard_for(out).write_rows(rows))
-            self.backend.scale_rows(updates, self._last_lr)
-            if self.weight_decay:
-                decay = self._decay_rows(len(replicas))
-                np.multiply(weights, self._last_lr * self.weight_decay, out=decay)
-                updates += decay
-            self.synchroniser.step_matrix(weights, updates, out=out)
+            self.synchroniser.step_matrix(
+                weights,
+                updates,
+                out=out,
+                learning_rate=self._last_lr,
+                weight_decay=self.weight_decay,
+            )
         sync_seconds = time.perf_counter() - started
         self.sync_counters.record(sync_seconds, overlapped, staleness)
         recorder = get_recorder()
@@ -585,11 +628,8 @@ class CrossbowTrainer:
             )
 
         # Hardware part: schedule the corresponding tasks on the simulated server.
-        timing = self.scheduler.schedule_iteration(
-            iteration=self._iteration,
-            replicas=replicas,
-            batch_size=self.config.batch_size,
-            synchronise=synchronise,
+        timing = self._schedule_tasks(
+            self.scheduler, self._iteration, replicas, self.config.batch_size, synchronise
         )
         self.task_manager.handle_completion(timing, num_learning_tasks=len(replicas))
         self._iteration += 1
@@ -619,14 +659,6 @@ class CrossbowTrainer:
         if self._shadow_matrix is not None:
             self._shadow_matrix = self._new_matrix(k, cols)
         self._bind_executor_buffers()
-
-    def _decay_rows(self, k: int) -> np.ndarray:
-        """The first ``k`` rows of the persistent weight-decay scratch matrix."""
-        if k > self._decay_matrix.shape[0]:
-            self._decay_matrix = np.zeros(
-                (k, self._update_matrix.shape[1]), dtype=np.float32
-            )
-        return self._decay_matrix[:k]
 
     # ------------------------------------------------------------------------ auto-tuning
     def _maybe_autotune(self) -> None:

@@ -60,6 +60,9 @@ __all__ = [
 _PROBE_REPLICAS = 8
 _PROBE_PARAMETERS = 65536
 _PROBE_REPEATS = 3
+#: the step's scalars as the trainer passes them for ResNet-32
+_PROBE_LEARNING_RATE = 0.1
+_PROBE_DECAY = 1e-4
 
 #: round-trip budget: process mode must cost at most this many fused steps of
 #: per-iteration overhead before the probe stops recommending it
@@ -92,17 +95,22 @@ def cpu_count() -> int:
 
 
 def _time_fused_step() -> float:
-    """Best-of-N wall-clock of one fused ``step_matrix`` update, in ms."""
+    """Best-of-N wall-clock of one fused ``step_matrix`` update, in ms.
+
+    Timed as the trainer calls it for a model with weight decay: raw gradient
+    rows plus the learning rate and the decay, which the step folds in.
+    """
     rng = np.random.RandomState(0)
     initial = rng.randn(_PROBE_PARAMETERS).astype(np.float32)
     weights = np.tile(initial, (_PROBE_REPLICAS, 1))
     updates = rng.randn(_PROBE_REPLICAS, _PROBE_PARAMETERS).astype(np.float32)
     sma = SMA(initial, num_replicas=_PROBE_REPLICAS)
-    sma.step_matrix(weights, updates)  # warm-up (allocations, BLAS init)
+    step = dict(learning_rate=_PROBE_LEARNING_RATE, weight_decay=_PROBE_DECAY)
+    sma.step_matrix(weights, updates, **step)  # warm-up (allocations, BLAS init)
     best = float("inf")
     for _ in range(_PROBE_REPEATS):
         start = time.perf_counter()
-        sma.step_matrix(weights, updates)
+        sma.step_matrix(weights, updates, **step)
         best = min(best, time.perf_counter() - start)
     return best * 1000.0
 
@@ -271,4 +279,6 @@ def resolve_auto_execution(
     if config.execution != "auto":
         return config
     probe = probe_host(store=store)
-    return replace(config, execution=probe.execution, pipeline_depth=probe.pipeline_depth)
+    # S-SGD's global barrier leaves no step to overlap: it always runs depth 0.
+    depth = 0 if config.synchronisation == "ssgd" else probe.pipeline_depth
+    return replace(config, execution=probe.execution, pipeline_depth=depth)

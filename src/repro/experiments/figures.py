@@ -25,8 +25,6 @@ from repro.data import create_dataset
 from repro.engine import (
     CrossbowConfig,
     CrossbowTrainer,
-    SSGDConfig,
-    SSGDTrainer,
     SchedulingPolicy,
     TaskScheduler,
     naive_memory_plan,
@@ -141,7 +139,7 @@ def run_fig3_statistical_efficiency(
     workload = workload if workload is not None else workload_for_model("resnet32")
     rows: List[Dict[str, object]] = []
     for batch_size in batch_sizes:
-        config = SSGDConfig(
+        config = CrossbowConfig(
             model_name=workload.model_name,
             dataset_name=workload.dataset_name,
             num_gpus=1,
@@ -150,9 +148,10 @@ def run_fig3_statistical_efficiency(
             target_accuracy=target_accuracy,
             dataset_overrides=workload.dataset_overrides,
             model_overrides=workload.model_overrides,
+            synchronisation="ssgd",
             seed=seed,
         )
-        result = SSGDTrainer(config).train()
+        result = CrossbowTrainer(config).train()
         epochs = result.epochs_to_accuracy(target_accuracy)
         rows.append(
             {
@@ -179,7 +178,7 @@ def run_fig9_baseline_convergence(
     rows: List[Dict[str, object]] = []
     for model in models:
         workload = workload_for_model(model)
-        config = SSGDConfig(
+        config = CrossbowConfig(
             model_name=workload.model_name,
             dataset_name=workload.dataset_name,
             num_gpus=1,
@@ -187,9 +186,10 @@ def run_fig9_baseline_convergence(
             max_epochs=max_epochs if max_epochs is not None else workload.max_epochs,
             dataset_overrides=workload.dataset_overrides,
             model_overrides=workload.model_overrides,
+            synchronisation="ssgd",
             seed=seed,
         )
-        result = SSGDTrainer(config).train()
+        result = CrossbowTrainer(config).train()
         for point in result.metrics.accuracy_curve():
             rows.append(
                 {
@@ -237,35 +237,23 @@ def _run_ssgd(
     num_gpus: int,
     seed: int,
     max_epochs: Optional[int] = None,
-    aggregate_batch: Optional[int] = None,
     use_baseline_batch: bool = False,
 ) -> TrainingResult:
-    """Run the S-SGD baseline.
+    """Run the S-SGD baseline, one replica per GPU.
 
     ``use_baseline_batch`` selects the per-GPU batch the paper's baseline would
     use (large, to keep the GPUs busy — Figures 10/11); otherwise the baseline
     gets the same per-GPU batch as Crossbow's learners (Figures 12/13).
     """
-    if aggregate_batch is not None:
-        batch = aggregate_batch
-    elif use_baseline_batch and workload.baseline_batch_per_gpu is not None:
-        batch = workload.baseline_batch_per_gpu * num_gpus
-    else:
-        batch = workload.batch_size * num_gpus
+    per_gpu = workload.batch_size
+    if use_baseline_batch and workload.baseline_batch_per_gpu is not None:
+        per_gpu = workload.baseline_batch_per_gpu
     # Never ask for an aggregate batch larger than the training set.
-    batch = min(batch, workload.dataset_overrides.get("num_train", batch))
-    config = SSGDConfig(
-        model_name=workload.model_name,
-        dataset_name=workload.dataset_name,
-        num_gpus=num_gpus,
-        batch_size=batch,
-        max_epochs=max_epochs if max_epochs is not None else workload.max_epochs,
-        target_accuracy=workload.target_accuracy,
-        dataset_overrides=workload.dataset_overrides,
-        model_overrides=workload.model_overrides,
-        seed=seed,
+    num_train = workload.dataset_overrides.get("num_train", per_gpu * num_gpus)
+    per_gpu = min(per_gpu, num_train // num_gpus)
+    return _run_crossbow(
+        workload, num_gpus, 1, seed, max_epochs, synchronisation="ssgd", batch_size=per_gpu
     )
-    return SSGDTrainer(config).train()
 
 
 def run_fig10_time_to_accuracy(
@@ -290,12 +278,14 @@ def run_fig10_time_to_accuracy(
                 ),
             }
             for system, result in runs.items():
+                # S-SGD's batch is the aggregate its GPUs share (Figure 1).
+                shared_by = gpus if system == "tensorflow-ssgd" else 1
                 rows.append(
                     {
                         "model": model,
                         "gpus": gpus,
                         "system": system,
-                        "batch_size": result.batch_size,
+                        "batch_size": result.batch_size * shared_by,
                         "tta_seconds": result.time_to_accuracy(workload.target_accuracy),
                         "epochs_to_target": result.epochs_to_accuracy(workload.target_accuracy),
                         "throughput_img_s": round(result.throughput(), 1),

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.optim.step import BlockedStep, apply_local_updates, validate_step_matrix
+from repro.optim.step import BlockedStep, validate_step_matrix
 
 
 @dataclass
@@ -115,10 +115,13 @@ class EASGD:
         weights: np.ndarray,
         updates: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
+        learning_rate: float = 1.0,
+        weight_decay: float = 0.0,
     ) -> np.ndarray:
         """One fused EA-SGD iteration over a ``(k, P)`` replica bank.
 
-        Mirrors :meth:`SMA.step_matrix` minus the momentum term: with
+        Mirrors :meth:`SMA.step_matrix` minus the momentum term (the raw
+        gradient rows become ``U = η G + η λ W`` in place the same way): with
         ``C = ρ (W − z)``, applies ``z ← z + C.sum(0)`` and ``W ← W − (U + C)``
         in place — or into ``out`` (deferred publish for the pipelined
         executor: ``weights`` stays untouched as the front buffer, the centre
@@ -128,9 +131,11 @@ class EASGD:
         """
         out = validate_step_matrix((self.num_replicas, self.center.size), weights, updates, out)
         if self.should_synchronise():
-            self._blocked_step(weights, updates, out, self.center, self.elasticity)
+            self._blocked_step(
+                weights, updates, out, self.center, self.elasticity, learning_rate, weight_decay
+            )
         else:
-            apply_local_updates(weights, updates, out)
+            self._blocked_step.local(weights, updates, out, learning_rate, weight_decay)
         self.iteration += 1
         self.version += 1
         return self.center

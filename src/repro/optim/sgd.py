@@ -13,10 +13,11 @@ class SGD(Optimizer):
     """Stochastic gradient descent with momentum.
 
     Implements ``w_{n+1} = w_n - γ ∇l(w_n) + µ (w_n - w_{n-1})`` via the usual
-    velocity formulation, with optional decoupled L2 weight decay.  The same
-    optimiser drives each Crossbow learner's local update (line 10 of
-    Algorithm 1, minus the correction which the synchronisation algorithm adds)
-    and the S-SGD baseline.
+    velocity formulation, with optional L2 weight decay added to the gradient.
+    It drives no trainer: the one training loop applies every update as a
+    fused step over the replica bank (:mod:`repro.optim.step`,
+    :mod:`repro.optim.ssgd`), and tests keep this per-parameter optimiser as
+    the reference those steps must match bit for bit.
     """
 
     def __init__(

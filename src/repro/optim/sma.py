@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.optim.step import BlockedStep, apply_local_updates, validate_step_matrix
+from repro.optim.step import BlockedStep, validate_step_matrix
 
 
 @dataclass
@@ -159,6 +159,8 @@ class SMA:
         weights: np.ndarray,
         updates: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
+        learning_rate: float = 1.0,
+        weight_decay: float = 0.0,
     ) -> np.ndarray:
         """One fused Algorithm-1 iteration over a ``(k, P)`` replica bank.
 
@@ -178,9 +180,13 @@ class SMA:
             given; a list of rows is rejected because the update would mutate
             a silent copy.
         updates : numpy.ndarray, optional
-            ``(k, P)`` pre-scaled local updates ``U`` (row ``j`` holds
-            ``η·g_j`` plus any weight-decay term).  When omitted, only the
-            correction/centre move is applied.  Left unchanged.
+            ``(k, P)`` gradient rows ``G``; row ``j`` is learner ``j``'s raw
+            gradient ``g_j``.  The step turns them **in place** into the local
+            updates ``U = η G + η λ W`` (``learning_rate`` ``η``,
+            ``weight_decay`` ``λ``), one cache block at a time.  With the
+            defaults (``η = 1``, ``λ = 0``) they are taken as pre-scaled
+            updates and left unchanged.  When omitted, only the
+            correction/centre move is applied.
         out : numpy.ndarray, optional
             Deferred publish: write the new replica matrix into ``out``
             instead of mutating ``weights``, leaving ``weights`` untouched as
@@ -212,6 +218,8 @@ class SMA:
                 out,
                 self.center,
                 self.alpha,
+                learning_rate,
+                weight_decay,
                 previous=self._previous_center,
                 momentum=self.config.momentum,
             )
@@ -224,7 +232,7 @@ class SMA:
                 np.subtract(self.center, moved, out=moved)
                 np.multiply(moved, self.config.momentum, out=moved)
                 np.add(self.center, moved, out=moved)
-            apply_local_updates(weights, updates, out)
+            self._blocked_step.local(weights, updates, out, learning_rate, weight_decay)
         if synchronise:
             # The new centre was written into z_prev's buffer; the old one is z_prev now.
             self.center, self._previous_center = self._previous_center, self.center

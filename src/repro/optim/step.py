@@ -1,7 +1,9 @@
 """The fused Algorithm-1 step over a ``(k, P)`` replica bank, one cache block at a time.
 
-Both synchronisers advance their central model ``z`` and the replica bank
-``W`` with the same passes: the correction ``C = c (W − z)``, its column sum
+Both model-averaging synchronisers advance their central model ``z`` and the
+replica bank ``W`` with the same passes: the local update
+``U ← η G + η λ W`` from the raw gradient rows ``G`` (learning rate ``η``,
+weight decay ``λ``), the correction ``C = c (W − z)``, its column sum
 ``Σ_j C_j``, the centre move, ``C += U`` and ``W ← W − C``.  Run over the
 whole bank, every pass is a trip through memory -- at the benchmark MLP's
 1.84M parameters one row is 7 MB, far past L2.  :class:`BlockedStep` runs
@@ -30,9 +32,10 @@ from repro.errors import ConfigurationError
 STEP_CACHE_BYTES = 256 * 1024
 
 #: Bumped whenever the step kernel's speed changes (1: whole-bank passes,
-#: 2: :class:`BlockedStep`).  Cached step timings, such as the execution-mode
-#: probe's, are re-measured when theirs differs.
-STEP_KERNEL_VERSION = 2
+#: 2: :class:`BlockedStep`, 3: the learning rate and weight decay folded into
+#: its block loop).  Cached step timings, such as the execution-mode probe's,
+#: are re-measured when theirs differs.
+STEP_KERNEL_VERSION = 3
 
 
 def block_columns(num_replicas: int) -> int:
@@ -70,18 +73,14 @@ def validate_step_matrix(
     return out
 
 
-def apply_local_updates(
-    weights: np.ndarray, updates: Optional[np.ndarray], out: np.ndarray
-) -> None:
-    """``out = W − U`` (or a copy of ``W``): a step that exchanges no correction."""
-    if updates is not None:
-        np.subtract(weights, updates, out=out)
-    elif out is not weights:
-        np.copyto(out, weights)
-
-
 class BlockedStep:
     """One synchroniser's fused step kernel and the scratch it reuses.
+
+    Both entry points turn each block of the raw gradient rows ``U`` into
+    local updates in place, ``U_b *= lr`` then ``U_b += W_b * (lr * wd)``,
+    before the block's other passes: per element, the floats of scaling the
+    whole bank and then adding a whole-bank decay term.  The defaults
+    (``lr = 1``, ``wd = 0``) leave pre-scaled updates untouched.
 
     Parameters
     ----------
@@ -102,6 +101,8 @@ class BlockedStep:
         out: np.ndarray,
         center: np.ndarray,
         coefficient: float,
+        learning_rate: float = 1.0,
+        weight_decay: float = 0.0,
         previous: Optional[np.ndarray] = None,
         momentum: float = 0.0,
     ) -> None:
@@ -119,6 +120,8 @@ class BlockedStep:
             tile = self._tile[:, : stop - start]
             sums = self._sums[: stop - start]
             block = weights[:, start:stop]
+            if updates is not None:
+                self._fold(updates[:, start:stop], block, tile, learning_rate, weight_decay)
             z = center[start:stop]
             np.subtract(block, z, out=tile)
             np.multiply(tile, coefficient, out=tile)
@@ -136,3 +139,31 @@ class BlockedStep:
             if updates is not None:
                 np.add(tile, updates[:, start:stop], out=tile)
             np.subtract(block, tile, out=out[:, start:stop])
+
+    def local(
+        self,
+        weights: np.ndarray,
+        updates: Optional[np.ndarray],
+        out: np.ndarray,
+        learning_rate: float = 1.0,
+        weight_decay: float = 0.0,
+    ) -> None:
+        """``out = W − U`` (or a copy of ``W``): a step that exchanges no correction."""
+        if updates is None:
+            if out is not weights:
+                np.copyto(out, weights)
+            return
+        for start in range(0, weights.shape[1], self.block):
+            stop = min(start + self.block, weights.shape[1])
+            block, rows = weights[:, start:stop], updates[:, start:stop]
+            self._fold(rows, block, self._tile[:, : stop - start], learning_rate, weight_decay)
+            np.subtract(block, rows, out=out[:, start:stop])
+
+    @staticmethod
+    def _fold(updates, weights, tile, learning_rate: float, weight_decay: float) -> None:
+        """One block of raw gradients into local updates: ``U *= lr``, ``U += W (lr wd)``."""
+        if learning_rate != 1.0:
+            np.multiply(updates, learning_rate, out=updates)
+        if weight_decay:
+            np.multiply(weights, learning_rate * weight_decay, out=tile)
+            np.add(updates, tile, out=updates)

@@ -3,6 +3,9 @@
 The sync section -- ``KernelBackend.scale_rows`` on the ``(k, P)`` update
 matrix, then the fused ``step_matrix`` -- must produce the exact floats of
 Algorithm 1 run one replica at a time, for SMA and EA-SGD at k in {1, 4, 16}.
+So must the step that takes the raw gradient rows with the learning rate and
+weight decay and folds them into its block loop, against the unfused
+order: scale, add the decay term, then step.
 The ``execution="auto"`` calibration probe is covered after it.
 """
 
@@ -13,7 +16,7 @@ import pytest
 
 from repro.engine import CrossbowConfig, CrossbowTrainer, modeselect
 from repro.optim.easgd import EASGD
-from repro.optim.sma import SMA
+from repro.optim.sma import SMA, SMAConfig
 from repro.tensor.backend import KernelBackend
 from repro.telemetry.runtime import host_name
 from repro.telemetry.store import TelemetryStore
@@ -24,8 +27,12 @@ def _bank(k, p, seed=0):
     return rng.standard_normal((k, p)).astype(np.float32)
 
 
-def _sync_section_matches_per_replica_loop(make_sync, k, p, seed):
-    """``scale_rows`` + fused ``step_matrix`` == Algorithm 1 one replica at a time."""
+def _sync_section_matches_per_replica_loop(make_sync, k, p, seed, weight_decay=None):
+    """``scale_rows`` + fused ``step_matrix`` == Algorithm 1 one replica at a time.
+
+    With ``weight_decay``, the step gets the raw gradients, the learning rate
+    and the decay instead, and the oracle adds ``w (lr wd)`` to each row.
+    """
     backend = KernelBackend()
     initial = _bank(1, p, seed=seed)[0]
     fused, oracle = make_sync(initial), make_sync(initial)
@@ -33,10 +40,16 @@ def _sync_section_matches_per_replica_loop(make_sync, k, p, seed):
     replicas = list(weights.copy())
     for step in range(4):
         gradients = _bank(k, p, seed=seed + 10 + step)
-        updates = backend.scale_rows(gradients.copy(), 0.05)
-        fused.step_matrix(weights, updates)
+        if weight_decay is None:
+            fused.step_matrix(weights, backend.scale_rows(gradients.copy(), 0.05))
+        else:
+            fused.step_matrix(
+                weights, gradients.copy(), learning_rate=0.05, weight_decay=weight_decay
+            )
         corrections = [oracle.correction(w) for w in replicas]
         scaled = [g * np.float32(0.05) for g in gradients]
+        if weight_decay is not None:
+            scaled = [u + w * np.float32(0.05 * weight_decay) for u, w in zip(scaled, replicas)]
         replicas = [w - (u + c) for w, u, c in zip(replicas, scaled, corrections)]
         oracle.apply_corrections(corrections)
     np.testing.assert_array_equal(weights, np.stack(replicas))
@@ -52,6 +65,20 @@ class TestSyncSection:
     def test_easgd_step_matrix(self, k):
         _sync_section_matches_per_replica_loop(
             lambda z: EASGD(z, num_replicas=k), k, p=129, seed=2
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda z, k: SMA(z, num_replicas=k),
+            lambda z, k: SMA(z, num_replicas=k, config=SMAConfig(alpha=0.0)),
+            lambda z, k: EASGD(z, num_replicas=k),
+        ],
+        ids=["sma", "sma-alpha0", "easgd"],
+    )
+    def test_raw_gradients_with_learning_rate_and_decay(self, k, make):
+        _sync_section_matches_per_replica_loop(
+            lambda z: make(z, k), k, p=193, seed=3, weight_decay=1e-2
         )
 
 
@@ -151,6 +178,15 @@ class TestModeSelection:
     def test_resolve_auto_passthrough_for_explicit_modes(self):
         config = _config(execution="serial")
         assert modeselect.resolve_auto_execution(config) is config
+
+    def test_resolve_auto_never_pipelines_ssgd(self, monkeypatch):
+        # S-SGD's global barrier leaves no step to overlap with the next gradients.
+        pipelined = modeselect.ProbeResult("host", 8, 0.5, 1.0, "process", 1)
+        monkeypatch.setattr(modeselect, "probe_host", lambda store=None: pipelined)
+        config = _config(execution="auto", synchronisation="ssgd", replicas_per_gpu=1)
+        resolved = modeselect.resolve_auto_execution(config)
+        assert (resolved.execution, resolved.pipeline_depth) == ("process", 0)
+        assert modeselect.resolve_auto_execution(_config(execution="auto")).pipeline_depth == 1
 
     def test_trainer_auto_resolves_serial_on_one_core(self, tmp_path, monkeypatch):
         monkeypatch.setattr(modeselect, "cpu_count", lambda: 1)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.data.batching import Batch
 from repro.data.sharding import partition_batch
-from repro.engine import SSGDConfig, SSGDTrainer
+from repro.engine import CrossbowConfig, CrossbowTrainer
 from repro.errors import ConfigurationError
 from repro.models import MLP
 from repro.nn import CrossEntropyLoss
@@ -58,8 +58,11 @@ class TestShardedGradientEquivalence:
 
 
 class TestSSGDTrainerInternals:
+    """The S-SGD baseline is ``CrossbowConfig(synchronisation="ssgd")`` on the one loop."""
+
     def test_learning_rate_schedule_is_applied(self):
-        config = SSGDConfig(
+        config = CrossbowConfig(
+            synchronisation="ssgd",
             model_name="mlp",
             dataset_name="blobs",
             num_gpus=1,
@@ -68,12 +71,13 @@ class TestSSGDTrainerInternals:
             learning_rate=0.2,
             dataset_overrides={"num_train": 128, "num_test": 64},
         )
-        trainer = SSGDTrainer(config)
+        trainer = CrossbowTrainer(config)
         assert trainer.learning_rate == pytest.approx(0.2)
         assert trainer.schedule.rate(0) == pytest.approx(0.2)
 
     def test_paper_hyperparameters_used_by_default(self):
-        config = SSGDConfig(
+        config = CrossbowConfig(
+            synchronisation="ssgd",
             model_name="resnet32-scaled",
             dataset_name="cifar10-scaled",
             num_gpus=1,
@@ -81,13 +85,14 @@ class TestSSGDTrainerInternals:
             max_epochs=1,
             dataset_overrides={"num_train": 64, "num_test": 32},
         )
-        trainer = SSGDTrainer(config)
+        trainer = CrossbowTrainer(config)
         assert trainer.learning_rate == pytest.approx(0.1)
         assert trainer.momentum == pytest.approx(0.9)
         assert trainer.weight_decay == pytest.approx(1e-4)
 
     def test_evaluation_covers_whole_test_set(self):
-        config = SSGDConfig(
+        config = CrossbowConfig(
+            synchronisation="ssgd",
             model_name="mlp",
             dataset_name="blobs",
             num_gpus=1,
@@ -95,7 +100,7 @@ class TestSSGDTrainerInternals:
             max_epochs=1,
             dataset_overrides={"num_train": 128, "num_test": 96},
         )
-        trainer = SSGDTrainer(config)
+        trainer = CrossbowTrainer(config)
         accuracy = trainer.evaluate(batch_size=40)  # uneven final batch
         assert 0.0 <= accuracy <= 1.0
 
@@ -142,15 +147,13 @@ class TestInitializers:
 class TestConfigurationValidation:
     def test_trainer_config_bounds(self):
         with pytest.raises(ConfigurationError):
-            SSGDConfig(model_name="mlp", dataset_name="blobs", num_gpus=0)
+            CrossbowConfig(model_name="mlp", dataset_name="blobs", num_gpus=0)
         with pytest.raises(ConfigurationError):
-            SSGDConfig(model_name="mlp", dataset_name="blobs", batch_size=0)
+            CrossbowConfig(model_name="mlp", dataset_name="blobs", batch_size=0)
         with pytest.raises(ConfigurationError):
-            SSGDConfig(model_name="mlp", dataset_name="blobs", max_epochs=0)
+            CrossbowConfig(model_name="mlp", dataset_name="blobs", max_epochs=0)
 
     def test_crossbow_rejects_too_many_learners_for_dataset(self):
-        from repro.engine import CrossbowConfig, CrossbowTrainer
-
         config = CrossbowConfig(
             model_name="mlp",
             dataset_name="blobs",

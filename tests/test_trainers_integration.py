@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.engine import CrossbowConfig, CrossbowTrainer, SSGDConfig, SSGDTrainer
+from repro.engine import CrossbowConfig, CrossbowTrainer
 from repro.errors import ConfigurationError
 
 BLOBS = {"num_train": 256, "num_test": 128}
@@ -28,52 +31,58 @@ def _crossbow_config(**overrides):
 
 
 def _ssgd_config(**overrides):
+    """The S-SGD baseline; ``batch_size`` is per GPU (aggregate = num_gpus x batch_size)."""
     base = dict(
         model_name="mlp",
         dataset_name="blobs",
         num_gpus=2,
-        batch_size=32,
+        batch_size=16,
         max_epochs=4,
         target_accuracy=0.9,
         dataset_overrides=BLOBS,
+        synchronisation="ssgd",
         seed=13,
     )
     base.update(overrides)
-    return SSGDConfig(**base)
+    return CrossbowConfig(**base)
 
 
 class TestSSGDTrainer:
     def test_reaches_target_on_separable_data(self):
-        result = SSGDTrainer(_ssgd_config()).train()
+        result = CrossbowTrainer(_ssgd_config()).train()
         assert result.reached_target
         assert result.metrics.best_accuracy() > 0.9
         assert result.throughput() > 0
         assert result.time_to_accuracy() is not None
 
     def test_single_gpu_configuration(self):
-        result = SSGDTrainer(_ssgd_config(num_gpus=1, batch_size=16)).train()
+        result = CrossbowTrainer(_ssgd_config(num_gpus=1, batch_size=16)).train()
         assert result.num_gpus == 1
         assert result.metrics.best_accuracy() > 0.8
 
     def test_simulated_time_decreases_with_more_gpus_for_scaled_batch(self):
-        slow = SSGDTrainer(
+        slow = CrossbowTrainer(
             _ssgd_config(num_gpus=1, batch_size=32, target_accuracy=None, max_epochs=2)
         ).train()
-        fast = SSGDTrainer(
-            _ssgd_config(num_gpus=4, batch_size=128, target_accuracy=None, max_epochs=2)
+        fast = CrossbowTrainer(
+            _ssgd_config(num_gpus=4, batch_size=32, target_accuracy=None, max_epochs=2)
         ).train()
         assert fast.metrics.records[-1].sim_time < slow.metrics.records[-1].sim_time
 
-    def test_aggregate_batch_smaller_than_gpus_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SSGDConfig(model_name="mlp", dataset_name="blobs", num_gpus=8, batch_size=4)
-
     def test_result_summary_fields(self):
-        result = SSGDTrainer(_ssgd_config(max_epochs=1, target_accuracy=None)).train()
+        result = CrossbowTrainer(_ssgd_config(max_epochs=1, target_accuracy=None)).train()
         summary = result.summary()
         for key in ("system", "model", "gpus", "throughput_img_s", "best_accuracy"):
             assert key in summary
         assert summary["system"] == "tensorflow-ssgd"
+
+    def test_evaluate_every_epochs_zero_runs_no_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CrossbowTrainer, "evaluate", lambda self: calls.append(1))
+        config = _ssgd_config(max_epochs=2, target_accuracy=None, evaluate_every_epochs=0)
+        result = CrossbowTrainer(config).train()
+        assert calls == []
+        assert [record.test_accuracy for record in result.metrics.records] == [0.0, 0.0]
 
 
 class TestCrossbowTrainer:
@@ -153,7 +162,7 @@ class TestCrossbowTrainer:
         crossbow = CrossbowTrainer(
             _crossbow_config(num_gpus=2, replicas_per_gpu=2, batch_size=16, max_epochs=4)
         ).train()
-        ssgd = SSGDTrainer(_ssgd_config(num_gpus=2, batch_size=32, max_epochs=4)).train()
+        ssgd = CrossbowTrainer(_ssgd_config(num_gpus=2, batch_size=16, max_epochs=4)).train()
         assert crossbow.reached_target and ssgd.reached_target
         assert crossbow.time_to_accuracy() < ssgd.time_to_accuracy()
 
@@ -164,6 +173,33 @@ class TestCrossbowTrainer:
             CrossbowConfig(model_name="mlp", dataset_name="blobs", synchronisation="other")
         with pytest.raises(ConfigurationError):
             CrossbowConfig(model_name="mlp", dataset_name="blobs", target_accuracy=2.0)
+        # S-SGD is one replica per GPU behind a global barrier (Figure 1).
+        for ssgd_only in (
+            {"replicas_per_gpu": 2},
+            {"auto_tune": True, "max_replicas_per_gpu": 2},
+            {"execution": "process", "pipeline_depth": 1},
+        ):
+            with pytest.raises(ConfigurationError, match="ssgd"):
+                CrossbowConfig(
+                    model_name="mlp", dataset_name="blobs", synchronisation="ssgd", **ssgd_only
+                )
+
+    @pytest.mark.parametrize("synchronisation", ["sma", "ssgd"])
+    def test_trainer_is_freed_without_the_cycle_collector(self, synchronisation):
+        """No reference cycle: dropping a trainer frees its bank and replicas at once,
+        before a server that runs next in the same process starts allocating."""
+        config = _crossbow_config(
+            replicas_per_gpu=1, max_epochs=1, target_accuracy=None, synchronisation=synchronisation
+        )
+        gc.disable()
+        try:
+            trainer = CrossbowTrainer(config)
+            trainer.train()
+            freed = weakref.ref(trainer)
+            del trainer
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_deterministic_given_seed(self):
         a = CrossbowTrainer(_crossbow_config(seed=5, max_epochs=2, target_accuracy=None)).train()
