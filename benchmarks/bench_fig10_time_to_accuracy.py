@@ -20,7 +20,8 @@ def test_fig10_time_to_accuracy_resnet32(benchmark, report):
             "models": ("resnet32",),
             "gpu_counts": (1, 8),
             "best_replicas": 2,
-            "max_epochs": 10,
+            # S-SGD at 8 GPUs reaches the target at epoch 11; runs stop there.
+            "max_epochs": 12,
         },
         rounds=1,
         iterations=1,
@@ -33,9 +34,9 @@ def test_fig10_time_to_accuracy_resnet32(benchmark, report):
                 return row["tta_seconds"]
         return None
 
-    # Crossbow with multiple learners should beat the baseline on 8 GPUs when
-    # both reach the target within the epoch budget.
+    # Both reach the target within the budget, and Crossbow with multiple
+    # learners gets there first on 8 GPUs.
     baseline = tta("tensorflow-ssgd", 8)
     crossbow = tta("crossbow-m2", 8)
-    if baseline is not None and crossbow is not None:
-        assert crossbow < baseline
+    assert baseline is not None and crossbow is not None
+    assert crossbow < baseline

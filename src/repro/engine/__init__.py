@@ -37,7 +37,6 @@ from repro.engine.memory_plan import (
 )
 from repro.engine.dataflow import DataflowGraph, OperatorNode, trace_dataflow
 from repro.engine.config import CrossbowConfig
-from repro.engine.modeselect import ProbeResult, probe_host, recommend, resolve_auto_execution
 from repro.engine.crossbow import CrossbowTrainer
 
 __all__ = [
@@ -75,8 +74,4 @@ __all__ = [
     "trace_dataflow",
     "CrossbowConfig",
     "CrossbowTrainer",
-    "ProbeResult",
-    "probe_host",
-    "recommend",
-    "resolve_auto_execution",
 ]

@@ -20,20 +20,20 @@ class CrossbowConfig:
     """Configuration of the one training loop, :class:`~repro.engine.crossbow.CrossbowTrainer`.
 
     ``replicas_per_gpu`` is the initial number of learners per GPU (``m``); when
-    ``auto_tune`` is enabled the number adapts at runtime per Algorithm 2.
+    ``auto_tune`` is enabled the number adapts at runtime per Algorithm 2, with
+    :class:`~repro.engine.autotuner.AutoTuner`'s default tolerance.
     ``batch_size`` is each learner's batch ``b``.  ``momentum`` is S-SGD's
-    velocity momentum; SMA's central momentum is ``sma_momentum``, and EA-SGD
-    has none.
+    velocity momentum; SMA's central momentum is
+    :class:`~repro.optim.sma.SMAConfig`'s default µ = 0.9, and EA-SGD has none.
 
     ``synchronisation`` selects the step that follows each iteration's ``k``
     gradients:
 
     * ``"sma"`` (default) — synchronous model averaging, Algorithm 1, with
-      ``sma_momentum`` and ``sma_alpha``;
-    * ``"easgd"`` — elastic averaging SGD (§5.5), with elasticity
-      ``sma_alpha``;
-    * ``"none"`` — SMA with α = 0: replicas are never corrected (the τ = ∞
-      ablation);
+      α = 1/k; at each learning-rate change after the first, the averaging
+      restarts from the current central model if test accuracy did not
+      improve since the previous change (§3.2);
+    * ``"easgd"`` — elastic averaging SGD (§5.5), with elasticity ρ = 1/k;
     * ``"ssgd"`` — the TensorFlow-style S-SGD baseline (§2.3, Figure 1): one
       replica per GPU, each on a ``batch_size`` share of an aggregate batch of
       ``num_gpus × batch_size``, and one momentum-SGD update (``momentum``)
@@ -52,12 +52,6 @@ class CrossbowConfig:
       (:mod:`repro.engine.executor`).  Requires the POSIX ``fork`` start
       method.  With augmentation disabled, fixed-seed runs are
       bit-compatible with ``"serial"``.
-    * ``"auto"`` — measure, don't assume: a short calibration probe
-      (:mod:`repro.engine.modeselect`, cached per host in the telemetry
-      store) picks serial / process / pipelined from the core count and the
-      measured fused-step and worker-round-trip times.  On a 1-core host this
-      always resolves to ``"serial"`` — process mode there measures ~0.82x
-      serial throughput (the `multiprocess_throughput` trajectory caveat).
 
     ``pipeline_depth`` (process mode only) selects the synchronisation
     schedule:
@@ -96,17 +90,13 @@ class CrossbowConfig:
     trace_tasks: bool = False
 
     replicas_per_gpu: int = 1
-    execution: str = "serial"  # "serial", "process" or "auto" (probe-driven)
+    execution: str = "serial"  # "serial" or "process"
     pipeline_depth: int = 0  # 0 = synchronous, 1 = overlap sync with next gradients
     auto_tune: bool = False
     auto_tune_interval: int = 16  # iterations between throughput observations
-    auto_tune_tolerance: float = 0.05
     max_replicas_per_gpu: int = 8
-    sma_momentum: float = 0.9
-    sma_alpha: Optional[float] = None
     synchronisation_period: int = 1  # τ; 1 = synchronise every iteration
-    synchronisation: str = "sma"  # "sma", "easgd", "none" or "ssgd"
-    restart_on_lr_change: bool = True
+    synchronisation: str = "sma"  # "sma", "easgd" or "ssgd"
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -125,22 +115,23 @@ class CrossbowConfig:
             raise ConfigurationError("replicas_per_gpu must be >= 1")
         if self.max_replicas_per_gpu < self.replicas_per_gpu:
             raise ConfigurationError("max_replicas_per_gpu must be >= replicas_per_gpu")
-        if self.synchronisation not in ("sma", "easgd", "none", "ssgd"):
+        if self.synchronisation not in ("sma", "easgd", "ssgd"):
             raise ConfigurationError(
-                "synchronisation must be 'sma', 'easgd' or 'none' (or 'ssgd', the S-SGD baseline)"
+                "synchronisation must be 'sma' or 'easgd' (or 'ssgd', the S-SGD baseline)"
             )
-        if self.execution not in ("serial", "process", "auto"):
-            raise ConfigurationError("execution must be 'serial', 'process' or 'auto'")
+        if self.execution not in ("serial", "process"):
+            raise ConfigurationError("execution must be 'serial' or 'process'")
         if self.pipeline_depth not in (0, 1):
             raise ConfigurationError(
                 "pipeline_depth must be 0 (synchronous) or 1 (one overlapped iteration)"
             )
         if self.pipeline_depth == 1 and self.execution != "process":
-            # "auto" picks its own depth; an explicit depth contradicts it.
             raise ConfigurationError(
                 "pipeline_depth=1 overlaps the fused synchronisation with worker "
                 "gradient computation and therefore requires execution='process'"
             )
+        if self.auto_tune_interval < 1:
+            raise ConfigurationError("auto_tune_interval must be >= 1 iteration")
         if self.synchronisation_period < 1:
             raise ConfigurationError("synchronisation period τ must be >= 1")
         if self.synchronisation == "ssgd" and (

@@ -145,13 +145,6 @@ class CrossbowTrainer:
     """
 
     def __init__(self, config: CrossbowConfig) -> None:
-        if config.execution == "auto":
-            # Probe-driven mode selection (cached per host in the telemetry
-            # store): resolve to a concrete serial/process/pipelined choice
-            # before any executor machinery is built.
-            from repro.engine.modeselect import resolve_auto_execution
-
-            config = resolve_auto_execution(config)
         self.config = config
         ssgd = config.synchronisation == "ssgd"
         # The S-SGD baseline keeps its own root stream, so its seeds draw the
@@ -273,7 +266,6 @@ class CrossbowTrainer:
 
         # Auto-tuner ---------------------------------------------------------------------------
         self.autotuner = AutoTuner(
-            tolerance=config.auto_tune_tolerance,
             max_learners=config.max_replicas_per_gpu,
             min_learners=1,
             learners_per_gpu=config.replicas_per_gpu,
@@ -306,22 +298,13 @@ class CrossbowTrainer:
             return EASGD(
                 center,
                 num_replicas,
-                EASGDConfig(
-                    elasticity=self.config.sma_alpha,
-                    communication_period=self.config.synchronisation_period,
-                ),
+                EASGDConfig(communication_period=self.config.synchronisation_period),
             )
-        # "none" still uses the SMA container for the central model but with α=0,
-        # so replicas never receive corrections (used by the τ=∞ ablation).
-        # SMAConfig accepts α=0 directly; an explicitly configured sma_alpha=0.0
-        # is honoured rather than rewritten to a near-zero sentinel.
-        alpha = 0.0 if self.config.synchronisation == "none" else self.config.sma_alpha
-        config = SMAConfig(
-            momentum=self.config.sma_momentum,
-            alpha=alpha,
-            synchronisation_period=self.config.synchronisation_period,
+        return SMA(
+            center,
+            num_replicas,
+            SMAConfig(synchronisation_period=self.config.synchronisation_period),
         )
-        return SMA(center, num_replicas, config)
 
     def _add_learner_on_gpu(self, gpu_id: int, model: Module) -> Learner:
         gpu = self.server.gpu(gpu_id)
@@ -775,7 +758,7 @@ class CrossbowTrainer:
     def _apply_schedule(self, epoch: int) -> None:
         new_rate = self.schedule.rate(float(epoch))
         if new_rate != self._last_lr:
-            if self.config.restart_on_lr_change and self.config.synchronisation == "sma":
+            if self.config.synchronisation == "sma":
                 if self._evaluation_service is not None:
                     # The restart rule compares real accuracies across the LR
                     # change; force the off-path evaluations to complete first

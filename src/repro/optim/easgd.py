@@ -33,9 +33,8 @@ class EASGDConfig:
         The elastic force ρ in ``(0, 1]``; ``None`` (default) resolves to
         ``1/k``.  Unlike :class:`~repro.optim.sma.SMAConfig`, ρ = 0 is *not*
         accepted: a zero elasticity never moves the centre nor the replicas,
-        so the τ = ∞ "no synchronisation" ablation is expressed with SMA's
-        ``alpha=0.0`` mode (``CrossbowConfig(synchronisation="none")``)
-        instead of a degenerate EA-SGD.
+        so the τ = ∞ "no synchronisation" ablation is expressed with
+        ``SMA(..., SMAConfig(alpha=0.0))`` instead of a degenerate EA-SGD.
     communication_period : int
         τ — replicas exchange elastic forces every τ-th iteration.
     """

@@ -31,12 +31,6 @@ from repro.errors import ConfigurationError
 #: of the step runs over the block.
 STEP_CACHE_BYTES = 256 * 1024
 
-#: Bumped whenever the step kernel's speed changes (1: whole-bank passes,
-#: 2: :class:`BlockedStep`, 3: the learning rate and weight decay folded into
-#: its block loop).  Cached step timings, such as the execution-mode probe's,
-#: are re-measured when theirs differs.
-STEP_KERNEL_VERSION = 3
-
 
 def block_columns(num_replicas: int) -> int:
     """Columns per block: a ``(k, block)`` float32 tile fills :data:`STEP_CACHE_BYTES`."""

@@ -8,8 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.engine import CrossbowConfig, CrossbowTrainer
+from repro.engine import AutoTuner, CrossbowConfig, CrossbowTrainer
 from repro.errors import ConfigurationError
+from repro.optim.schedules import MultiStepSchedule
+from repro.serve.checkpoint import CheckpointStore
 
 BLOBS = {"num_train": 256, "num_test": 128}
 
@@ -85,6 +87,93 @@ class TestSSGDTrainer:
         assert [record.test_accuracy for record in result.metrics.records] == [0.0, 0.0]
 
 
+class TestRestartOnLearningRateChange:
+    """§3.2: SMA restarts its averaging when a learning-rate change finds no gain.
+
+    The rule compares the accuracy at this change with the one at the previous
+    change, so the rate drops twice, at the start of epochs 1 and 2, and the
+    decision falls at epoch 2: restart iff the accuracy after epoch 1 is no
+    better than after epoch 0.  Evaluation is scripted to pin both cases.
+    """
+
+    @pytest.mark.parametrize(
+        "synchronisation, accuracies, restarts",
+        [
+            ("sma", [0.6, 0.5, 0.7], 1),
+            ("sma", [0.6, 0.6, 0.7], 1),
+            ("sma", [0.5, 0.6, 0.4], 0),
+            ("easgd", [0.6, 0.5, 0.7], 0),
+            ("ssgd", [0.6, 0.5, 0.7], 0),
+        ],
+    )
+    def test_restart_iff_accuracy_did_not_improve(
+        self, monkeypatch, synchronisation, accuracies, restarts
+    ):
+        make_config = _ssgd_config if synchronisation == "ssgd" else _crossbow_config
+        trainer = CrossbowTrainer(
+            make_config(synchronisation=synchronisation, max_epochs=3, target_accuracy=None)
+        )
+        trainer.schedule = MultiStepSchedule(trainer.learning_rate, milestones=[1, 2])
+        scripted = iter(accuracies)
+        monkeypatch.setattr(trainer, "evaluate", lambda: next(scripted))
+        # EA-SGD's restart only bumps its version, so count the calls themselves.
+        calls = []
+        synchroniser = trainer.synchroniser
+        if hasattr(synchroniser, "restart"):
+            restart = synchroniser.restart
+            monkeypatch.setattr(synchroniser, "restart", lambda: calls.append(restart()))
+        store = trainer.attach_checkpoint_store(CheckpointStore())
+        result = trainer.train()
+        assert [record.learning_rate for record in result.metrics.records] == [
+            trainer.schedule.rate(float(epoch)) for epoch in range(3)
+        ]
+        assert len(calls) == restarts
+        assert getattr(trainer.synchroniser, "restarts", 0) == restarts
+        assert result.extra["sma_restarts"] == restarts
+        assert store.latest().sma_restarts == restarts
+
+
+class TestFixedSynchronisationDefaults:
+    """The trainer's SMA, EA-SGD and auto-tuner run at their own defaults.
+
+    µ = 0.9, α = ρ = 1/k and a 5% tolerance are not configurable on the
+    trainer, so a run must use exactly the values the algorithms default to.
+    """
+
+    def test_sma_centre_momentum_is_0_9_and_alpha_is_one_over_k(self):
+        trainer = CrossbowTrainer(_crossbow_config())
+        k = len(trainer.learners)
+        assert k == 4
+        assert trainer.synchroniser.config.momentum == 0.9
+        assert trainer.synchroniser.alpha == 1.0 / k
+
+    def test_easgd_elasticity_is_one_over_k(self):
+        trainer = CrossbowTrainer(_crossbow_config(synchronisation="easgd", replicas_per_gpu=3))
+        assert trainer.synchroniser.elasticity == 1.0 / 6
+
+    def test_alpha_follows_k_across_a_resize(self):
+        trainer = CrossbowTrainer(_crossbow_config(auto_tune=True, max_replicas_per_gpu=4))
+        trainer._grow_learners()
+        assert len(trainer.learners) == 6
+        assert trainer.synchroniser.alpha == 1.0 / 6
+        assert trainer.synchroniser.config.momentum == 0.9
+
+    def test_autotuner_tolerance_is_the_autotuner_default(self):
+        trainer = CrossbowTrainer(_crossbow_config(auto_tune=True, max_replicas_per_gpu=4))
+        assert trainer.autotuner.tolerance == AutoTuner().tolerance == 0.05
+
+    def test_auto_tune_interval_one_is_the_least_accepted(self):
+        config = _crossbow_config(
+            auto_tune=True,
+            auto_tune_interval=1,
+            max_replicas_per_gpu=4,
+            max_epochs=1,
+            target_accuracy=None,
+        )
+        result = CrossbowTrainer(config).train()
+        assert len(result.metrics) == 1
+
+
 class TestCrossbowTrainer:
     def test_reaches_target_on_separable_data(self):
         result = CrossbowTrainer(_crossbow_config()).train()
@@ -118,21 +207,6 @@ class TestCrossbowTrainer:
     def test_easgd_synchronisation_runs(self):
         result = CrossbowTrainer(_crossbow_config(synchronisation="easgd")).train()
         assert result.metrics.best_accuracy() > 0.8
-
-    def test_synchronisation_none_trains_with_alpha_zero(self):
-        """``"none"`` is the third accepted value: the SMA container, never correcting."""
-        trainer = CrossbowTrainer(
-            _crossbow_config(synchronisation="none", target_accuracy=None, max_epochs=2)
-        )
-        assert trainer.synchroniser.alpha == 0.0
-        result = trainer.train()
-        assert len(result.metrics) == 2
-        # No correction ever reaches the centre, so it is still the initial model.
-        np.testing.assert_array_equal(
-            trainer.synchroniser.center, trainer.initial_model.parameter_vector()
-        )
-        with pytest.raises(ConfigurationError, match="'sma', 'easgd' or 'none'"):
-            CrossbowConfig(model_name="mlp", dataset_name="blobs", synchronisation="other")
 
     def test_synchronisation_period_greater_than_one(self):
         result = CrossbowTrainer(
@@ -173,6 +247,14 @@ class TestCrossbowTrainer:
             CrossbowConfig(model_name="mlp", dataset_name="blobs", synchronisation="other")
         with pytest.raises(ConfigurationError):
             CrossbowConfig(model_name="mlp", dataset_name="blobs", target_accuracy=2.0)
+        for rejected in (
+            {"synchronisation": "none"},
+            {"execution": "auto"},
+            {"auto_tune": True, "auto_tune_interval": 0},
+            {"auto_tune": True, "auto_tune_interval": -4},
+        ):
+            with pytest.raises(ConfigurationError):
+                CrossbowConfig(model_name="mlp", dataset_name="blobs", **rejected)
         # S-SGD is one replica per GPU behind a global barrier (Figure 1).
         for ssgd_only in (
             {"replicas_per_gpu": 2},

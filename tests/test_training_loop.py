@@ -32,7 +32,6 @@ def test_serial_augmented_epochs_match_a_hand_rolled_loop():
         batch_size=4,
         weight_decay=0.0,
         use_augmentation=True,
-        restart_on_lr_change=False,
         max_epochs=2,
         target_accuracy=None,
         evaluate_every_epochs=0,
