@@ -1,11 +1,12 @@
 """Multi-process executor microbenchmark: serial vs per-learner worker processes.
 
 With ``execution="process"`` each learner's gradient is computed in its own
-worker over the shared-memory replica bank while streaming its own dataset
-shard — the reproduction's analogue of the paper's task manager keeping every
-execution unit busy (§4.1–§4.3).  Serial mode keeps the learners in-process,
-but runs an iteration's forward/backward passes on parallel lanes, one per
-core that BLAS leaves free (``repro.engine.learner.LearnerLanes``).
+worker over the shared-memory replica bank, on the batch the parent's
+pipeline copied into its shared input row — the reproduction's analogue of
+the paper's task manager keeping every execution unit busy (§4.1–§4.3).
+Serial mode keeps the learners in-process, but runs an iteration's
+forward/backward passes on parallel lanes, one per core that BLAS leaves
+free (``repro.engine.learner.LearnerLanes``).
 
 This benchmark times whole training iterations (gradients + fused SMA step +
 simulated schedule) at k = 8 learners on an MLP workload sized so the
@@ -104,8 +105,8 @@ def test_multiprocess_throughput(report):
     with _one_lane():
         one_lane = _run("serial")
 
-    # Every mode must land on the identical central model (fixed seed, no
-    # augmentation) — the speedup is not allowed to change the maths.
+    # Every mode must land on the identical central model (fixed seed) — the
+    # speedup is not allowed to change the maths.
     np.testing.assert_array_equal(process["center"], serial["center"])
     np.testing.assert_array_equal(one_lane["center"], serial["center"])
 

@@ -170,7 +170,7 @@ def _run_resize(persistent: bool) -> Dict[str, object]:
         executor = trainer._executor
         if not persistent:
             # Reference run: force the automatic respawn fallback (what a
-            # reallocated buffer or an augmented input path triggers).
+            # reallocated shared buffer triggers).
             def respawn(learners: object) -> str:
                 executor.invalidate()
                 return "respawn"

@@ -22,12 +22,7 @@ from repro.data.augmentation import (
     random_horizontal_flip,
 )
 from repro.data.batching import Batch, BatchPipeline, CircularBatchBuffer, DataPreProcessor
-from repro.data.sharding import (
-    ShardedBatchPipeline,
-    ShardedBatchStream,
-    partition_batch,
-    round_robin_assignment,
-)
+from repro.data.sharding import partition_batch
 
 __all__ = [
     "DATASET_REGISTRY",
@@ -43,8 +38,5 @@ __all__ = [
     "BatchPipeline",
     "CircularBatchBuffer",
     "DataPreProcessor",
-    "ShardedBatchPipeline",
-    "ShardedBatchStream",
     "partition_batch",
-    "round_robin_assignment",
 ]

@@ -130,16 +130,13 @@ class DataPreProcessor:
         """Yield the batches of one epoch (shuffled, augmented)."""
         epoch = epoch if epoch is not None else self._epoch
         order = self.rng.permutation(self.dataset.num_train)
-        images = self.dataset.train_images[order]
-        labels = self.dataset.train_labels[order]
         count = self.batches_per_epoch
         for index in range(count):
-            start = index * self.batch_size
-            stop = min(start + self.batch_size, self.dataset.num_train)
-            batch_images = self.augmentation(images[start:stop])
+            # Gather one batch's rows, not the whole permuted set up front.
+            rows = order[index * self.batch_size : (index + 1) * self.batch_size]
             yield Batch(
-                images=batch_images,
-                labels=labels[start:stop],
+                images=self.augmentation(self.dataset.train_images[rows]),
+                labels=self.dataset.train_labels[rows],
                 index=self._batch_index + index,
                 epoch=epoch,
             )
@@ -150,14 +147,12 @@ class DataPreProcessor:
 class BatchPipeline:
     """Facade combining pre-processors with the circular buffer.
 
-    This is the *serial* input path: one pipeline feeds every learner, handing
-    batch ``i·k + j`` of each epoch to learner ``j`` (``k`` learners, one
-    batch each per SMA iteration).  The multi-process executor replaces it
-    with a :class:`~repro.data.sharding.ShardedBatchPipeline` that produces
-    the identical assignment from per-worker strided shards — identical for
-    the single-pre-processor configuration the trainer uses; with
-    ``num_preprocessors > 1`` this pipeline cycles per-epoch shuffle streams
-    that the sharded pipeline does not replicate.
+    The one input path: a single pipeline feeds every learner, in-process or
+    forked, handing batch ``i·k + j`` of each epoch to learner ``j`` (``k``
+    learners, one batch each per SMA iteration).  The executors draw from it
+    (:class:`~repro.engine.learner.EpochDraw`); the multi-process executor
+    copies each worker's batch into that worker's row of a shared input
+    matrix.
 
     Parameters
     ----------

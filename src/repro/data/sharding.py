@@ -1,31 +1,18 @@
-"""Batch partitioning and per-worker shard streaming.
+"""Batch partitioning for the S-SGD baseline.
 
 Parallel S-SGD partitions every batch equally across GPUs (§2.3); Crossbow
-instead assigns complete batches to learners on a first-come-first-served
-basis (§4.3).  Both policies live here so the trainers share one tested
-implementation.
-
-This module also provides the sharded input pipeline used by the
-multi-process executor (:mod:`repro.engine.executor`): a
-:class:`ShardedBatchPipeline` splits each epoch's batch sequence into ``k``
-strided shards so that worker ``j`` streams batches ``j, j+k, j+2k, …`` of the
-globally permuted order — exactly the batch-to-learner assignment the serial
-:class:`~repro.data.batching.BatchPipeline` loop produces — with per-worker
-prefetch and double buffering in place of one shared circular buffer.
+instead assigns complete batches to learners (§4.3), which the one
+:class:`~repro.data.batching.BatchPipeline` does for every executor.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.data.augmentation import AugmentationPipeline
 from repro.data.batching import Batch
-from repro.data.datasets import Dataset
 from repro.errors import DataError
-from repro.utils.rng import RandomState
 
 
 def partition_batch(batch: Batch, num_partitions: int) -> List[Batch]:
@@ -46,326 +33,3 @@ def partition_batch(batch: Batch, num_partitions: int) -> List[Batch]:
         Batch(images=images, labels=labels, index=batch.index, epoch=batch.epoch)
         for images, labels in zip(image_shards, label_shards)
     ]
-
-
-def round_robin_assignment(num_items: int, num_workers: int) -> List[List[int]]:
-    """Assign item indices to workers in round-robin order (PyTorch/TF style)."""
-    if num_workers < 1:
-        raise DataError("need at least one worker")
-    assignment: List[List[int]] = [[] for _ in range(num_workers)]
-    for item in range(num_items):
-        assignment[item % num_workers].append(item)
-    return assignment
-
-
-def first_come_first_served_assignment(
-    num_items: int, availability_order: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Pair item indices with workers in the order the workers became available.
-
-    ``availability_order`` is a sequence of worker ids, one entry per time a
-    worker became free; items are matched to it positionally.  This mirrors the
-    task scheduler's first-come-first-served policy (§4.3).
-    """
-    pairs: List[Tuple[int, int]] = []
-    for item in range(min(num_items, len(availability_order))):
-        pairs.append((item, availability_order[item]))
-    return pairs
-
-
-class ShardedBatchStream:
-    """One worker's strided slice of an epoch's batch sequence, with prefetch.
-
-    The stream materialises the batches at global positions
-    ``offset + shard_index, offset + shard_index + num_shards, …`` of a
-    permuted epoch order, gathering samples lazily instead of copying the
-    whole permuted dataset up front.  A small deque of pre-built batches
-    provides double buffering: the owning worker calls :meth:`prefetch` right
-    after finishing a gradient task, so the next batch is assembled while the
-    parent runs the synchronisation step.
-
-    Parameters
-    ----------
-    dataset : Dataset
-        The dataset all shards draw from (read-only).
-    batch_size : int
-        Number of samples per batch (the per-learner batch size ``b``).
-    shard_index : int
-        This stream's shard id ``j`` in ``[0, num_shards)``.
-    num_shards : int
-        The stride ``k`` — one shard per worker/learner.
-    augmentation : AugmentationPipeline, optional
-        Applied to every materialised batch.  Each shard owns an independent
-        augmentation stream, so augmented runs are statistically equivalent
-        but not bit-identical to the serial pipeline (which draws from one
-        global stream).  Identity by default.
-    prefetch_depth : int
-        Maximum number of pre-built batches held (2 = double buffering).
-
-    Notes
-    -----
-    The epoch order is injected via :meth:`start_epoch` rather than drawn
-    locally so that every shard — and the serial pipeline it must stay
-    bit-compatible with — sees the same permutation per epoch, and so a
-    mid-epoch reshard (auto-tuner resize) can resume at an arbitrary offset.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int,
-        shard_index: int,
-        num_shards: int,
-        augmentation: Optional[AugmentationPipeline] = None,
-        prefetch_depth: int = 2,
-    ) -> None:
-        if num_shards < 1:
-            raise DataError("need at least one shard")
-        if not 0 <= shard_index < num_shards:
-            raise DataError(f"shard index {shard_index} not in [0, {num_shards})")
-        if batch_size < 1:
-            raise DataError("batch size must be >= 1")
-        if prefetch_depth < 1:
-            raise DataError("prefetch depth must be >= 1")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.shard_index = shard_index
-        self.num_shards = num_shards
-        self.augmentation = (
-            augmentation if augmentation is not None else AugmentationPipeline.identity()
-        )
-        self.prefetch_depth = prefetch_depth
-        self._order: Optional[np.ndarray] = None
-        self._epoch = 0
-        self._position = 0  # next *global* batch position this shard will take
-        self._buffer: Deque[Batch] = deque()
-        self.batches_streamed = 0
-
-    @property
-    def batches_per_epoch(self) -> int:
-        """Global batches per epoch (all shards combined, drop-last)."""
-        return self.dataset.num_train // self.batch_size
-
-    def start_epoch(self, epoch: int, order: np.ndarray, offset: int = 0) -> None:
-        """Begin streaming epoch ``epoch`` with the given sample permutation.
-
-        ``offset`` is the number of *global* batches already consumed this
-        epoch (non-zero when a resize re-creates streams mid-epoch); the shard
-        resumes at global position ``offset + shard_index``.
-        """
-        order = np.asarray(order)
-        if order.shape != (self.dataset.num_train,):
-            raise DataError(
-                f"epoch order has shape {order.shape}, expected ({self.dataset.num_train},)"
-            )
-        self._order = order
-        self._epoch = epoch
-        self._position = offset + self.shard_index
-        self._buffer.clear()
-        self.prefetch()
-
-    def reconfigure(
-        self,
-        shard_index: int,
-        num_shards: int,
-        augmentation: Optional[AugmentationPipeline] = None,
-    ) -> "ShardedBatchStream":
-        """Re-stride this stream in place for a new shard assignment.
-
-        Used by the persistent worker pool: an auto-tuner resize changes the
-        worker's shard id and the stride without tearing the worker down, so
-        the stream it already owns is re-pointed instead of being replaced.
-        Dataset, batch size and prefetch depth are kept; the augmentation
-        stream is kept too unless a replacement is given.  Any prefetched
-        batches are discarded — the caller must follow up with
-        :meth:`start_epoch` before streaming again.
-        """
-        if num_shards < 1:
-            raise DataError("need at least one shard")
-        if not 0 <= shard_index < num_shards:
-            raise DataError(f"shard index {shard_index} not in [0, {num_shards})")
-        self.shard_index = shard_index
-        self.num_shards = num_shards
-        if augmentation is not None:
-            self.augmentation = augmentation
-        self._order = None
-        self._position = 0
-        self._buffer.clear()
-        return self
-
-    def remaining(self) -> int:
-        """Batches this shard can still produce in the current epoch."""
-        if self._order is None:
-            return 0
-        pending = max(0, -(-(self.batches_per_epoch - self._position) // self.num_shards))
-        return len(self._buffer) + pending
-
-    def prefetch(self) -> int:
-        """Top up the buffer to ``prefetch_depth`` batches; returns the fill level."""
-        while len(self._buffer) < self.prefetch_depth and self._can_materialise():
-            self._buffer.append(self._materialise(self._position))
-            self._position += self.num_shards
-        return len(self._buffer)
-
-    def next_batch(self) -> Batch:
-        """Pop the next prefetched batch (materialising on demand if empty)."""
-        if not self._buffer:
-            self.prefetch()
-        if not self._buffer:
-            raise DataError(
-                f"shard {self.shard_index}/{self.num_shards} is exhausted for epoch {self._epoch}"
-            )
-        batch = self._buffer.popleft()
-        self.batches_streamed += 1
-        return batch
-
-    # -- internals -----------------------------------------------------------------------
-    def _can_materialise(self) -> bool:
-        return self._order is not None and self._position < self.batches_per_epoch
-
-    def _materialise(self, position: int) -> Batch:
-        assert self._order is not None
-        start = position * self.batch_size
-        indices = self._order[start : start + self.batch_size]
-        images = self.augmentation(self.dataset.train_images[indices])
-        labels = self.dataset.train_labels[indices]
-        return Batch(
-            images=images,
-            labels=labels,
-            index=self._epoch * self.batches_per_epoch + position,
-            epoch=self._epoch,
-        )
-
-
-class ShardedBatchPipeline:
-    """Per-worker shard streaming over one dataset (multi-process input path).
-
-    The serial :class:`~repro.data.batching.BatchPipeline` hands batch
-    ``i·k + j`` of each epoch to learner ``j``; this pipeline produces the
-    identical assignment with ``k`` independent :class:`ShardedBatchStream`
-    objects, one per worker process, each prefetching its own strided slice.
-    The parent process remains the single source of truth for the epoch
-    permutation (drawn from the same ``preprocessor0`` stream the serial
-    pipeline uses, so fixed-seed runs are bit-compatible across execution
-    modes) and ships it to the workers at every epoch start.
-
-    Parameters
-    ----------
-    dataset : Dataset
-        Training data shared by all shards.
-    batch_size : int
-        Per-learner batch size ``b``.
-    num_shards : int
-        Number of shards ``k`` (one per learner/worker).
-    rng : RandomState, optional
-        The pipeline-level random stream; the epoch permutations are drawn
-        from its ``preprocessor0`` child, matching ``BatchPipeline``.
-    augmentation_factory : callable, optional
-        ``(shard_index, generation) -> AugmentationPipeline`` building each
-        shard's augmentation; identity when omitted.  ``generation`` counts
-        :meth:`reshard` calls: augmentation streams advance inside the worker
-        processes and are lost when a pool respawns, so each generation must
-        derive *fresh* streams or every resize would replay the identical
-        "random" crops/flips from the start.
-    prefetch_depth : int
-        Prefetch depth per shard (2 = double buffering, §4.5).
-
-    Examples
-    --------
-    >>> from repro.data import create_dataset
-    >>> dataset = create_dataset("blobs", num_train=64, num_test=16)
-    >>> pipeline = ShardedBatchPipeline(dataset, batch_size=8, num_shards=2)
-    >>> order = pipeline.begin_epoch(0)
-    >>> for stream in pipeline.streams:
-    ...     stream.start_epoch(0, order)
-    >>> pipeline.streams[1].next_batch().index  # shard 1 gets global batch 1
-    1
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int,
-        num_shards: int,
-        rng: Optional[RandomState] = None,
-        augmentation_factory: Optional[Callable[[int, int], AugmentationPipeline]] = None,
-        prefetch_depth: int = 2,
-    ) -> None:
-        if num_shards < 1:
-            raise DataError("pipeline needs at least one shard")
-        if batch_size > dataset.num_train:
-            raise DataError(
-                f"batch size {batch_size} exceeds the number of training samples {dataset.num_train}"
-            )
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.prefetch_depth = prefetch_depth
-        self._augmentation_factory = augmentation_factory
-        self._generation = 0
-        base_rng = rng if rng is not None else RandomState(0, name="pipeline")
-        # Identical child chain to BatchPipeline's first pre-processor, so a
-        # fixed seed yields the same permutation sequence in both pipelines.
-        self._master = base_rng.child("preprocessor0")
-        self.streams: List[ShardedBatchStream] = []
-        self.reshard(num_shards)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.streams)
-
-    @property
-    def has_augmentation(self) -> bool:
-        """Whether shard streams carry (worker-local) augmentation state.
-
-        The persistent worker pool only re-shards in place when this is
-        false: augmentation streams advance inside the workers, and the
-        documented resize semantics regenerate them from fresh parent-side
-        randomness, which requires a respawn.
-        """
-        return self._augmentation_factory is not None
-
-    @property
-    def batches_per_epoch(self) -> int:
-        return self.dataset.num_train // self.batch_size
-
-    def iterations_per_epoch(self, num_shards: Optional[int] = None) -> int:
-        """Complete SMA iterations per epoch: ``⌊B / k⌋`` (drop-last, |B| ≥ k)."""
-        k = num_shards if num_shards is not None else self.num_shards
-        return self.batches_per_epoch // k
-
-    def begin_epoch(self, epoch: int) -> np.ndarray:
-        """Draw the epoch's sample permutation (advances the master stream).
-
-        Must be called exactly once per epoch; the caller broadcasts the
-        returned order to every worker's :meth:`ShardedBatchStream.start_epoch`.
-        """
-        del epoch  # the permutation sequence is positional, as in BatchPipeline
-        return self._master.permutation(self.dataset.num_train)
-
-    def reshard(self, num_shards: int) -> List[ShardedBatchStream]:
-        """Rebuild the per-worker streams for a new shard count (auto-tuner resize).
-
-        The master permutation stream is untouched, so resharding mid-training
-        never perturbs the epoch order — only the stride across it.  Each call
-        bumps the generation fed to ``augmentation_factory``, giving the new
-        streams fresh augmentation randomness (see the class docstring).
-        """
-        if num_shards < 1:
-            raise DataError("pipeline needs at least one shard")
-        self._generation += 1
-        self.streams = [
-            ShardedBatchStream(
-                self.dataset,
-                self.batch_size,
-                shard_index=j,
-                num_shards=num_shards,
-                augmentation=(
-                    self._augmentation_factory(j, self._generation)
-                    if self._augmentation_factory is not None
-                    else None
-                ),
-                prefetch_depth=self.prefetch_depth,
-            )
-            for j in range(num_shards)
-        ]
-        return self.streams

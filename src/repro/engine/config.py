@@ -48,17 +48,17 @@ class CrossbowConfig:
       (:class:`~repro.engine.learner.LearnerLanes`); the fused ``(k, P)``
       synchronisation step runs on the calling thread.
     * ``"process"`` — one worker process per learner over a shared-memory
-      replica bank, each streaming its own dataset shard
-      (:mod:`repro.engine.executor`).  Requires the POSIX ``fork`` start
-      method.  With augmentation disabled, fixed-seed runs are
-      bit-compatible with ``"serial"``.
+      replica bank, each reading the batch the trainer's pipeline drew for
+      it from a shared input row (:mod:`repro.engine.executor`).  Requires
+      the POSIX ``fork`` start method.  Fixed-seed runs are bit-compatible
+      with ``"serial"``.
 
     ``pipeline_depth`` (process mode only) selects the synchronisation
     schedule:
 
     * ``0`` (default) — synchronous: the parent applies the fused
-      ``step_matrix`` while every worker idles; with augmentation disabled,
-      bit-identical to ``"serial"``.
+      ``step_matrix`` while every worker idles; bit-identical to
+      ``"serial"``.
     * ``1`` — pipelined: workers begin iteration ``t+1``'s forward/backward
       against a published double-buffered weight view while the parent
       applies iteration ``t``'s fused update into the back buffer, then
@@ -68,9 +68,9 @@ class CrossbowConfig:
       disappears from the critical path.
 
     The worker pool stays alive across auto-tuner resizes: grow/shrink
-    re-shards the surviving workers in place and forks only newly added
-    learners.  A resize that changes the shared buffers themselves, or runs
-    with augmentation on, falls back to stop-everything-and-respawn.
+    re-points the surviving workers at their new rows in place and forks
+    only newly added learners.  A resize that changes the shared buffers
+    themselves falls back to stop-everything-and-respawn.
     """
 
     model_name: str = "resnet32-scaled"

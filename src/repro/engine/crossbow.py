@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.analysis.sanitizer import guard_for
 from repro.data import AugmentationPipeline, BatchPipeline, create_dataset
-from repro.data.sharding import ShardedBatchPipeline
 from repro.engine.autotuner import AutoTuner, AutoTunerDecision
 from repro.engine.config import CrossbowConfig
 from repro.engine.executor import ProcessExecutor, SharedMatrix, SharedReplicaBank
@@ -123,13 +122,14 @@ class CrossbowTrainer:
         hyper-parameters, auto-tuning, and the execution mode.  With
         ``execution="process"`` the gradient computations run in one worker
         process per learner over a shared-memory bank
-        (:mod:`repro.engine.executor`), each worker streaming its own
-        dataset shard; ``execution="serial"`` (default) keeps them
-        in-process, running an iteration's ``k`` passes at once on one
-        CPU-pinned lane per core that BLAS leaves free
-        (:class:`~repro.engine.learner.LearnerLanes`).  Fixed-seed runs of
-        the two modes, at any lane width, produce bit-identical central
-        models when augmentation is disabled.
+        (:mod:`repro.engine.executor`), each worker reading its batch from
+        its row of a shared input matrix; ``execution="serial"`` (default)
+        keeps them in-process, running an iteration's ``k`` passes at once
+        on one CPU-pinned lane per core that BLAS leaves free
+        (:class:`~repro.engine.learner.LearnerLanes`).  Both draw their
+        batches from the one :class:`~repro.data.batching.BatchPipeline`, so
+        fixed-seed runs of the two modes, at any lane width, produce
+        bit-identical central models, with or without augmentation.
 
     Notes
     -----
@@ -224,22 +224,7 @@ class CrossbowTrainer:
         self._executor: Union[ProcessExecutor, LearnerLanes]
         if config.execution == "process":
             self.replica_bank = SharedReplicaBank(num_parameters, capacity=max_learners)
-            shard_pipeline = ShardedBatchPipeline(
-                self.dataset,
-                batch_size=config.batch_size,
-                num_shards=total_learners,
-                rng=self.rng.child("pipeline"),
-                augmentation_factory=(
-                    (
-                        lambda j, generation: AugmentationPipeline.cifar_default(
-                            self.rng.child(f"augmentation-shard{j}-gen{generation}")
-                        )
-                    )
-                    if config.use_augmentation
-                    else None
-                ),
-            )
-            self._executor = ProcessExecutor(shard_pipeline)
+            self._executor = ProcessExecutor(self.pipeline)
         else:
             self.replica_bank = ReplicaBank(num_parameters, capacity=max_learners)
             self._executor = LearnerLanes(self.pipeline)
@@ -727,11 +712,11 @@ class CrossbowTrainer:
     def _finish_resize(self) -> None:
         """Re-pack the bank into learner order and rebuild the synchroniser.
 
-        Under ``execution="process"`` the worker pool is then re-sharded in
+        Under ``execution="process"`` the worker pool is then re-pointed in
         place (persistent pool: surviving workers re-bind to their packed
-        rows and re-strided shards, removed workers stop, added learners get
-        fresh forks) — or invalidated for a full respawn when in-place reuse
-        is not possible (see :meth:`ProcessExecutor.resize`).
+        rows, removed workers stop, added learners get fresh forks) — or
+        invalidated for a full respawn when the shared buffers were
+        reallocated (see :meth:`ProcessExecutor.resize`).
         """
         self.replica_bank.pack([learner.replica for learner in self.learners])
         self._executor.resize(self.learners)

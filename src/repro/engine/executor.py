@@ -12,23 +12,26 @@ learning tasks to GPU streams (§4.1–§4.3):
 * :class:`SharedReplicaBank` — the :class:`~repro.engine.replica.ReplicaBank`
   with its backing matrix in shared memory: each worker's module parameters
   are zero-copy views into its bank row in *both* address spaces.
-* :class:`WorkerPool` — one forked process per learner, each streaming its own
-  dataset shard (:class:`~repro.data.sharding.ShardedBatchStream`) and writing
-  gradients straight into a shared ``(k, P)`` update matrix.  The pool is
-  persistent: auto-tuner resizes re-shard it in place instead of respawning
-  every fork.
-* :class:`ProcessExecutor` — the trainer-facing facade: epoch/iteration
-  protocol, split issue/collect steps for pipelined synchronisation, buffer
-  round-trips for evaluation, and the in-place-resize/respawn decision.
+* :class:`WorkerPool` — one forked process per learner, each reading its
+  batch from its row of two shared input matrices (images and labels) and
+  writing gradients straight into a shared ``(k, P)`` update matrix.  The
+  pool is persistent: auto-tuner resizes re-point it in place instead of
+  respawning every fork.
+* :class:`ProcessExecutor` — the trainer-facing facade: the epoch draw from
+  the trainer's one :class:`~repro.data.batching.BatchPipeline` (shared with
+  the in-process lanes), split issue/collect steps for pipelined
+  synchronisation, buffer round-trips for evaluation, and the
+  in-place-resize/respawn decision.
 
-Execution model per iteration (``pipeline_depth=0``): the parent broadcasts
-one ``step`` command, every worker materialises its next prefetched batch,
-runs forward/backward on its bank-row-backed replica and scatters the
-gradient into its update row; the parent then applies the fused
-``SMA.step_matrix`` to the shared weights while the workers prefetch their
-next batch (double buffering).  Workers block between commands, so the
-schedule is synchronous and — with augmentation disabled — bit-identical to
-``execution="serial"``.
+Execution model per iteration (``pipeline_depth=0``): the parent takes the
+next ``k`` batches from the pipeline, copies batch ``j`` into row ``j`` of
+the input matrices and broadcasts one ``step`` command; every worker runs
+forward/backward on zero-copy views of its rows with its bank-row-backed
+replica and scatters the gradient into its update row; the parent then
+applies the fused ``SMA.step_matrix`` to the shared weights.  Only losses
+travel back over a pipe.  Workers block between commands, so the schedule
+is synchronous and bit-identical to ``execution="serial"``, with or
+without augmentation.
 
 With ``pipeline_depth=1`` the trainer instead issues iteration ``t+1``
 *before* applying iteration ``t``'s fused update: workers read a published
@@ -39,8 +42,8 @@ overlaps the next gradient computation (see
 for the publish/flip protocol and the depth ≤ 1 staleness bound).
 
 Only the ``fork`` start method is supported: workers inherit the already
-mapped shared segments, the model object graph and the prefetch streams
-without any pickling of weights.
+mapped shared segments and the model object graph without any pickling of
+weights.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitizer import create_sanitizer, guard_for, register_guard
-from repro.data.sharding import ShardedBatchPipeline, ShardedBatchStream
-from repro.engine.learner import Learner
+from repro.data.batching import Batch, BatchPipeline
+from repro.engine.learner import EpochDraw, Learner
 from repro.engine.replica import ReplicaBank
 from repro.errors import ConfigurationError, SchedulingError
 from repro.utils.logging import get_logger
@@ -200,84 +203,73 @@ class SharedReplicaBank(ReplicaBank):
 class _WorkerState:
     """Everything one worker process needs; inherited via fork, never pickled."""
 
-    index: int  # learner index == bank/update row == shard id
+    index: int  # learner index == bank/update/input row
     learner: Learner
-    stream: ShardedBatchStream
     # Full (capacity, P) matrices, all in shared memory.  weight_matrices[0]
     # is the replica bank itself; [1] (when present) is the pipelined back
     # buffer.  Step commands address rows by (matrix index, state.index).
     weight_matrices: List[np.ndarray]
     update_matrices: List[np.ndarray]
+    # (images, labels): row j holds learner j's batch, written by the parent
+    # before every step, so batches never travel over a pipe.
+    inputs: Tuple[np.ndarray, np.ndarray]
     commands: Any  # multiprocessing.SimpleQueue
     results: Any  # multiprocessing.Queue (shared across workers)
-    # Spawn-time epoch state, inherited via fork rather than pre-seeded into
-    # the command queue: a large epoch permutation would overflow the pipe
-    # buffer before the worker starts reading and deadlock the spawn.
-    epoch: Optional[int] = None
-    order: Optional[np.ndarray] = None
-    offset: int = 0
 
 
 def _worker_main(state: _WorkerState) -> None:
-    """Worker process body: serve gradient / epoch / buffer commands until stop.
+    """Worker process body: serve gradient / buffer commands until stop.
 
     Command protocol (parent → worker, per-worker FIFO queue):
 
-    * ``("step", w, u)`` — compute one shard gradient with the replica weights
-      read from ``weight_matrices[w]`` and the gradient scattered into row
-      ``index`` of ``update_matrices[u]``.  The pipelined executor alternates
-      ``w`` between the published front buffer and the back buffer the parent
-      is writing; the worker re-binds its module parameters (a zero-copy view
+    * ``("step", w, u)`` — compute the gradient of the batch in row ``index``
+      of the input matrices with the replica weights read from
+      ``weight_matrices[w]``, scattered into row ``index`` of
+      ``update_matrices[u]``.  The pipelined executor alternates ``w``
+      between the published front buffer and the back buffer the parent is
+      writing; the worker re-binds its module parameters (a zero-copy view
       adoption, ``copy=False``) whenever ``w`` changes.
-    * ``("epoch", epoch, order, offset)`` — hand the stream the epoch's sample
-      permutation.
-    * ``("reshard", index, num_shards, epoch, order, offset)`` — persistent
-      pool resize: adopt a new learner index (bank row, update row and shard
-      id in one), re-stride the local shard stream in place, re-bind the model
-      to bank row ``index`` (the parent has just re-packed the bank, so the
-      bank — matrix 0 — is canonical) and resume the epoch at ``offset``.
+    * ``("reshard", index)`` — persistent pool resize: adopt a new learner
+      index (bank, update and input row in one) and re-bind the model to bank
+      row ``index`` (the parent has just re-packed the bank, so the bank —
+      matrix 0 — is canonical).
     * ``("buffers",)`` — ship the model's non-trainable buffers back.
     * ``("stop",)`` — exit.
 
-    Any exception — including ones outside the gradient computation, such as a
-    failed epoch hand-off or a prefetch error after the step result was already
-    posted — is forwarded to the parent as an error tuple before the worker
-    exits, so the parent's timeout/liveness logic in ``WorkerPool._collect``
-    fails fast with a traceback instead of waiting on a silently dead process.
+    Any exception is forwarded to the parent as an error tuple before the
+    worker exits, so the parent's timeout/liveness logic in
+    ``WorkerPool._collect`` fails fast with a traceback instead of waiting on
+    a silently dead process.
     """
-    stream = state.stream
     learner = state.learner
+    images, labels = state.inputs
     bound = 0  # weight matrix the model's parameters currently view
     try:
-        if state.epoch is not None and state.order is not None:
-            stream.start_epoch(state.epoch, state.order, state.offset)
         while True:
             command = state.commands.get()
             op = command[0]
             if op == "stop":
                 return
-            if op == "epoch":
-                _, epoch, order, offset = command
-                stream.start_epoch(epoch, order, offset)
-                continue
             if op == "step":
                 _, weights_index, updates_index = command
+                row = state.index
                 if weights_index != bound:
                     # Adopt the addressed buffer's values; never write to it.
                     learner.replica.model.attach_parameter_storage(
-                        state.weight_matrices[weights_index][state.index], copy=False
+                        state.weight_matrices[weights_index][row], copy=False
                     )
                     bound = weights_index
-                out = state.update_matrices[updates_index][state.index]
+                out = state.update_matrices[updates_index][row]
                 # Sanitized window: this step reads the addressed weight row
-                # and exclusively writes the worker's update row.
+                # and its input rows, and exclusively writes its update row.
                 weights_guard = guard_for(state.weight_matrices[weights_index])
-                with weights_guard.read(state.index), guard_for(out).write(state.index):
-                    loss = learner.compute_shard_gradient(stream, out=out)
-                state.results.put((state.index, loss, None))
-                # Double buffering: assemble the next batch while the parent
-                # runs the fused synchronisation step on the shared bank.
-                stream.prefetch()
+                with weights_guard.read(row), guard_for(out).write(row):
+                    with guard_for(images).read(row), guard_for(labels).read(row):
+                        # The parent keeps the batch's index and epoch; the
+                        # gradient needs only the samples.
+                        batch = Batch(images[row], labels[row], index=-1, epoch=-1)
+                        _, loss = learner.compute_gradient(batch, out=out)
+                state.results.put((row, loss, None))
                 continue
             if op == "buffers":
                 buffers = {
@@ -287,16 +279,13 @@ def _worker_main(state: _WorkerState) -> None:
                 state.results.put((state.index, buffers, None))
                 continue
             if op == "reshard":
-                _, index, num_shards, epoch, order, offset = command
-                state.index = index
-                stream.reconfigure(index, num_shards)
+                _, state.index = command
                 # The parent flushed any pipelined back buffer and re-packed
                 # the bank before re-sharding, so the bank row is the truth.
                 learner.replica.model.attach_parameter_storage(
-                    state.weight_matrices[0][index], copy=False
+                    state.weight_matrices[0][state.index], copy=False
                 )
                 bound = 0
-                stream.start_epoch(epoch, order, offset)
                 continue
             raise SchedulingError(f"unknown worker command {op!r}")
     except Exception:  # noqa: BLE001 - forwarded to the parent verbatim
@@ -460,25 +449,23 @@ class _WorkerHandle(_ProcessHandle):
 
 
 class WorkerPool(ForkedWorkerPool):
-    """One forked worker process per learner, fed by per-worker shard streams.
+    """One forked worker process per learner, fed through shared input rows.
 
     The pool is *persistent*: an auto-tuner resize calls :meth:`resize`, which
-    re-shards the surviving workers in place (a ``reshard`` command re-points
-    their shard stream and bank-row binding), stops workers whose learner was
-    removed, and forks workers only for newly added learners — so the dominant
-    cost of the old stop-everything-and-respawn protocol (k forks, k joins and
-    a full buffer round-trip per resize) is replaced by at most one fork per
-    added learner.  Respawning from scratch remains available (and is what
-    :class:`ProcessExecutor` falls back to when the shared matrices themselves
-    were reallocated or augmentation state cannot be migrated).
+    re-points the surviving workers in place (a ``reshard`` command moves
+    their bank, update and input row), stops workers whose learner was
+    removed, and forks workers only for newly added learners — so the
+    dominant cost of the old stop-everything-and-respawn protocol (k forks,
+    k joins and a full buffer round-trip per resize) is replaced by at most
+    one fork per added learner.  Respawning from scratch remains available
+    (and is what :class:`ProcessExecutor` falls back to when the shared
+    matrices themselves were reallocated).
 
     Parameters
     ----------
     learners : sequence of Learner
         The trainer's learners, in bank-row order; worker ``j`` computes
         gradients for ``learners[j]``.
-    streams : sequence of ShardedBatchStream
-        One shard stream per learner (``streams[j].shard_index == j``).
     weight_matrices : sequence of numpy.ndarray
         Full ``(capacity, P)`` shared weight buffers; ``[0]`` is the replica
         bank, ``[1]`` (optional) the pipelined back buffer.
@@ -486,63 +473,52 @@ class WorkerPool(ForkedWorkerPool):
         Full ``(capacity, P)`` shared gradient buffers; the pipelined executor
         alternates between two so iteration ``t+1``'s gradients never race
         iteration ``t``'s fused update.
-    epoch_state : tuple, optional
-        ``(epoch, order, offset)`` to resume streaming from, for pools
-        spawned mid-epoch (after an auto-tuner resize).
+    inputs : (numpy.ndarray, numpy.ndarray)
+        Shared ``(capacity, b, ...)`` images and ``(capacity, b)`` labels;
+        row ``j`` holds the batch worker ``j`` computes on at the next step.
     """
 
     def __init__(
         self,
         learners: Sequence[Learner],
-        streams: Sequence[ShardedBatchStream],
         weight_matrices: Sequence[np.ndarray],
         update_matrices: Sequence[np.ndarray],
-        epoch_state: Optional[Tuple[int, np.ndarray, int]] = None,
+        inputs: Tuple[np.ndarray, np.ndarray],
     ) -> None:
-        if len(learners) != len(streams):
-            raise SchedulingError(
-                f"need one shard stream per learner: {len(streams)} streams, "
-                f"{len(learners)} learners"
-            )
         if not weight_matrices or not update_matrices:
             raise SchedulingError("worker pool needs weight and update matrices")
-        for matrix in list(weight_matrices) + list(update_matrices):
-            if matrix.shape[0] < len(learners):
-                raise SchedulingError(
-                    f"shared matrix has {matrix.shape[0]} rows for {len(learners)} learners"
-                )
-        super().__init__()
         self._weight_matrices = list(weight_matrices)
         self._update_matrices = list(update_matrices)
+        self._inputs = inputs
+        self._check_rows(len(learners))
+        super().__init__()
         self._inflight = False
-        for index, (learner, stream) in enumerate(zip(learners, streams)):
-            self._handles.append(self._spawn(index, learner, stream, epoch_state))
+        for index, learner in enumerate(learners):
+            self._handles.append(self._spawn(index, learner))
 
     @property
     def learners(self) -> List[Learner]:
         """The pool's learners in worker-index order."""
         return [handle.learner for handle in self._handles]
 
+    def _check_rows(self, num_learners: int) -> None:
+        for matrix in [*self._weight_matrices, *self._update_matrices, *self._inputs]:
+            if matrix.shape[0] < num_learners:
+                raise SchedulingError(
+                    f"shared matrix has {matrix.shape[0]} rows for {num_learners} learners"
+                )
+
     # -- spawning ------------------------------------------------------------------------
-    def _spawn(
-        self,
-        index: int,
-        learner: Learner,
-        stream: ShardedBatchStream,
-        epoch_state: Optional[Tuple[int, np.ndarray, int]],
-    ) -> _WorkerHandle:
+    def _spawn(self, index: int, learner: Learner) -> _WorkerHandle:
         commands = self._ctx.SimpleQueue()
         state = _WorkerState(
             index=index,
             learner=learner,
-            stream=stream,
             weight_matrices=self._weight_matrices,
             update_matrices=self._update_matrices,
+            inputs=self._inputs,
             commands=commands,
             results=self._results,
-            epoch=None if epoch_state is None else epoch_state[0],
-            order=None if epoch_state is None else epoch_state[1],
-            offset=0 if epoch_state is None else epoch_state[2],
         )
         process = self._fork(
             _worker_main, state, name=f"learner-worker-{learner.learner_id}"
@@ -569,17 +545,14 @@ class WorkerPool(ForkedWorkerPool):
             received += 1
         return payloads
 
-    def start_epoch(self, epoch: int, order: np.ndarray, offset: int = 0) -> None:
-        """Ship the epoch's permutation to every worker's shard stream."""
-        self._broadcast(("epoch", epoch, order, offset))
-
     def issue_step(self, weights_index: int = 0, updates_index: int = 0) -> None:
         """Dispatch one learning task per worker without waiting for results.
 
         ``weights_index`` selects the weight buffer the workers read (the
         published front buffer), ``updates_index`` the gradient buffer they
-        write.  At most one step may be in flight — the pool enforces the
-        pipeline's depth ≤ 1 staleness bound structurally.
+        write; each worker computes on its current input row.  At most one
+        step may be in flight — the pool enforces the pipeline's depth ≤ 1
+        staleness bound structurally.
         """
         if self._inflight:
             raise SchedulingError(
@@ -592,7 +565,7 @@ class WorkerPool(ForkedWorkerPool):
         """Wait for the in-flight step; returns the ``(k,)`` loss vector.
 
         On return, each worker's row of the addressed update matrix holds its
-        raw gradient for its shard's next batch.
+        raw gradient for the batch in its input row.
         """
         if not self._inflight:
             raise SchedulingError("no step in flight to collect")
@@ -616,61 +589,46 @@ class WorkerPool(ForkedWorkerPool):
         return self._collect()
 
     # -- persistent resize ---------------------------------------------------------------
-    def resize(
-        self,
-        learners: Sequence[Learner],
-        streams: Sequence[ShardedBatchStream],
-        epoch_state: Tuple[int, np.ndarray, int],
-    ) -> None:
-        """Re-shard the live pool to a new learner list without a respawn.
+    def resize(self, learners: Sequence[Learner]) -> None:
+        """Re-point the live pool at a new learner list without a respawn.
 
         The caller must have quiesced the pipeline (no step in flight), synced
         nothing — worker-private batch-norm state survives untouched — and
         already re-packed the bank so that ``learners[i]`` owns bank row
         ``i``.  Workers whose learner survives receive a ``reshard`` command
-        (new index, new stride, epoch resume point); workers whose learner was
-        removed are stopped; new learners get freshly forked workers that
-        inherit the parent's current object graph.
+        (their new row); workers whose learner was removed are stopped; new
+        learners get freshly forked workers that inherit the parent's current
+        object graph.
         """
         if self._stopped:
             raise SchedulingError("cannot resize a stopped pool")
         if self._inflight:
             raise SchedulingError("cannot resize while a step is in flight")
-        if len(learners) != len(streams):
-            raise SchedulingError(
-                f"need one shard stream per learner: {len(streams)} streams, "
-                f"{len(learners)} learners"
-            )
-        for matrix in self._weight_matrices + self._update_matrices:
-            if matrix.shape[0] < len(learners):
-                raise SchedulingError(
-                    f"shared matrix has {matrix.shape[0]} rows for {len(learners)} learners"
-                )
-        epoch, order, offset = epoch_state
+        self._check_rows(len(learners))
         survivors = {id(handle.learner): handle for handle in self._handles}
-        new_handles: List[_WorkerHandle] = []
-        spawned: List[Tuple[int, Learner, ShardedBatchStream]] = []
+        new_handles: List[Optional[_WorkerHandle]] = []
         for index, learner in enumerate(learners):
             handle = survivors.pop(id(learner), None)
             if handle is not None:
-                handle.commands.put(("reshard", index, len(learners), epoch, order, offset))
-                new_handles.append(handle)
-            else:
-                spawned.append((index, learner, streams[index]))
-                new_handles.append(None)  # type: ignore[arg-type] - filled below
+                handle.commands.put(("reshard", index))
+            new_handles.append(handle)
         for handle in survivors.values():
             self._stop_worker(handle)
-        for index, learner, stream in spawned:
-            new_handles[index] = self._spawn(index, learner, stream, (epoch, order, offset))
-        self._handles = new_handles
+        self._handles = [
+            handle if handle is not None else self._spawn(index, learners[index])
+            for index, handle in enumerate(new_handles)
+        ]
 
 
-class ProcessExecutor:
-    """Trainer-facing facade over the worker pool and the sharded input path.
+class ProcessExecutor(EpochDraw):
+    """Trainer-facing facade over the worker pool.
 
-    Owns the epoch bookkeeping: which epoch is streaming, its permutation,
-    and how many global batches have been consumed.  The pool itself is
-    spawned lazily — on the first iteration, and again whenever
+    Batches come from the trainer's :class:`~repro.data.batching.BatchPipeline`
+    through the epoch draw both executors share
+    (:class:`~repro.engine.learner.EpochDraw`).  :meth:`issue_step` copies
+    learner ``j``'s batch into row ``j`` of two shared input matrices (images
+    and labels) that the executor owns, then broadcasts the step.  The pool
+    is spawned lazily — on the first iteration, and again whenever
     :meth:`invalidate` marks the current one stale (shared-matrix
     reallocation) — so forks always inherit the trainer's *current* learner
     and bank state.
@@ -683,22 +641,21 @@ class ProcessExecutor:
       so at ``pipeline_depth=1`` the trainer overlaps the fused
       synchronisation of iteration ``t`` with the workers' gradient
       computation of iteration ``t+1``.
-    * **Persistent resize** — :meth:`resize` re-shards the live pool in place
+    * **Persistent resize** — :meth:`resize` re-points the live pool in place
       (see :meth:`WorkerPool.resize`) instead of stopping and respawning
-      every fork, unless augmentation state would have to migrate across
-      processes or the shared buffers themselves were reallocated.
+      every fork, unless the shared buffers themselves were reallocated.
     """
 
-    def __init__(self, pipeline: ShardedBatchPipeline) -> None:
-        self.pipeline = pipeline
+    def __init__(self, pipeline: BatchPipeline) -> None:
+        super().__init__(pipeline)
         self._pool: Optional[WorkerPool] = None
         self._spawned_for: Optional[Tuple] = None
         self._bank: Optional[ReplicaBank] = None
         self._extra_weight_matrices: List[np.ndarray] = []
         self._update_matrices: List[np.ndarray] = []
-        self._epoch: Optional[int] = None
-        self._order: Optional[np.ndarray] = None
-        self._consumed = 0  # global batches consumed this epoch
+        # Learner j's batch goes to row j of (images, labels) before each step.
+        self._input_segments: List[SharedMatrix] = []
+        self._inputs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.respawns = 0
         self.resizes_in_place = 0
 
@@ -715,7 +672,9 @@ class ProcessExecutor:
         ``extra_weight_matrices`` follow (the pipelined back buffer);
         ``update_matrices`` are the gradient buffers.  Re-binding with
         different objects invalidates the running pool, because live workers
-        only map the segments that existed when they were forked.
+        only map the segments that existed when they were forked, and
+        reallocates the input matrices with as many rows as the update
+        matrices.
         """
         if not update_matrices:
             raise SchedulingError("executor needs at least one update matrix")
@@ -736,6 +695,25 @@ class ProcessExecutor:
         self._update_matrices = list(update_matrices)
         if self._pool is not None:
             self.invalidate()
+        self._release_inputs()
+        rows = update_matrices[0].shape[0]
+        images, labels = self.pipeline.dataset.train_images, self.pipeline.dataset.train_labels
+        batch_shape = (self.pipeline.batch_size, *images.shape[1:])
+        self._input_segments = [
+            SharedMatrix(rows, int(np.prod(batch_shape)), dtype=images.dtype),
+            SharedMatrix(rows, batch_shape[0], dtype=labels.dtype),
+        ]
+        self._inputs = (
+            self._input_segments[0].array.reshape(rows, *batch_shape),
+            self._input_segments[1].array,
+        )
+
+    def _release_inputs(self) -> None:
+        # Drop the views first: a segment with live views cannot be unlinked.
+        self._inputs = None
+        for segment in self._input_segments:
+            segment.close()
+        self._input_segments = []
 
     def _weight_matrices(self) -> List[np.ndarray]:
         assert self._bank is not None
@@ -749,24 +727,6 @@ class ProcessExecutor:
             tuple(id(m) for m in self._update_matrices),
         )
 
-    # -- epoch protocol ------------------------------------------------------------------
-    def begin_epoch(self, epoch: int) -> None:
-        """Draw the epoch permutation and ship it to the workers (if running)."""
-        self._epoch = epoch
-        self._order = self.pipeline.begin_epoch(epoch)
-        self._consumed = 0
-        if self._pool is not None:
-            self._pool.start_epoch(epoch, self._order, 0)
-
-    def batches_remaining(self) -> int:
-        """Global batches left in the current epoch (issued steps count as consumed)."""
-        if self._order is None:
-            return 0
-        return self.pipeline.batches_per_epoch - self._consumed
-
-    def end_epoch(self) -> None:
-        """Nothing to release: the workers keep their streams across epochs."""
-
     # -- iteration protocol --------------------------------------------------------------
     def issue_step(
         self,
@@ -774,23 +734,28 @@ class ProcessExecutor:
         weights_index: int = 0,
         updates_index: int = 0,
     ) -> None:
-        """Dispatch one learning task per worker without waiting for results.
+        """Copy the next batch for each learner into its input row and dispatch the step.
 
         ``weights_index`` addresses the weight buffer workers read (0 = the
         bank, 1 = the pipelined back buffer), ``updates_index`` the gradient
-        buffer they write.  At most one step may be in flight.
+        buffer they write.  At most one step may be in flight, so no worker
+        reads an input row while it is written.
         """
-        if self._epoch is None:
-            raise SchedulingError("issue_step() before begin_epoch()")
-        if self.batches_remaining() < len(learners):
+        if self.step_in_flight:
             raise SchedulingError(
-                f"epoch {self._epoch} has {self.batches_remaining()} batches left "
-                f"for {len(learners)} learners"
+                "a step is already in flight (pipeline depth is bounded at 1)"
             )
+        if self._inputs is None:
+            raise SchedulingError("issue_step() before bind_buffers() or after close()")
+        batches = self._take(learners)
         self._ensure_pool(learners)
         assert self._pool is not None
+        images, labels = self._inputs
+        for row, batch in enumerate(batches):
+            with guard_for(images).write(row), guard_for(labels).write(row):
+                images[row] = batch.images
+                labels[row] = batch.labels
         self._pool.issue_step(weights_index, updates_index)
-        self._consumed += len(learners)
 
     def collect_step(self) -> np.ndarray:
         """Wait for the in-flight step's losses (``(k,)`` float64)."""
@@ -807,18 +772,9 @@ class ProcessExecutor:
         if self._pool is not None and self._pool.is_alive() and signature == self._spawned_for:
             return
         self._stop_pool(sync_buffers=True)
-        # Always rebuild the streams: augmentation state advanced inside the
-        # dead workers, so reusing parent-side streams would replay it.
-        self.pipeline.reshard(len(learners))
-        epoch_state = None
-        if self._epoch is not None and self._order is not None:
-            epoch_state = (self._epoch, self._order, self._consumed)
+        assert self._inputs is not None
         self._pool = WorkerPool(
-            learners,
-            self.pipeline.streams,
-            self._weight_matrices(),
-            self._update_matrices,
-            epoch_state=epoch_state,
+            learners, self._weight_matrices(), self._update_matrices, self._inputs
         )
         self._spawned_for = signature
         self.respawns += 1
@@ -827,35 +783,25 @@ class ProcessExecutor:
     def resize(self, learners: Sequence[Learner]) -> str:
         """Adapt the executor to a new learner list after an auto-tuner resize.
 
-        Returns ``"in-place"`` when the live pool was re-sharded
-        without a respawn, else ``"respawn"`` (the pool was invalidated and
-        the next iteration re-forks it).  The caller must have re-packed the
-        bank so ``learners[i]`` owns row ``i`` and quiesced any pipelined
-        step before calling.
+        Returns ``"in-place"`` when the live pool was re-pointed without a
+        respawn, else ``"respawn"`` (the pool was invalidated and the next
+        iteration re-forks it).  The caller must have re-packed the bank so
+        ``learners[i]`` owns row ``i`` and quiesced any pipelined step before
+        calling.
 
-        The in-place path is taken only when it is exactly equivalent to a
-        respawn: the pool is alive mid-epoch, the shared buffers are
-        unchanged (same bank generation, same matrices), and the input path
-        carries no augmentation state — per-worker augmentation streams are
-        deliberately regenerated on a respawn, and migrating that state
-        through a queue would change the documented resize semantics.
+        The in-place path is taken whenever the pool is alive and the shared
+        buffers are unchanged (same bank generation, same matrices): the
+        workers hold no input state of their own, so re-pointing them is
+        exactly equivalent to a respawn.
         """
         if self._pool is None or not self._pool.is_alive():
             self._stop_pool(sync_buffers=False)
             return "respawn"
         signature = self._signature(len(learners))
-        in_place_ok = (
-            not self.pipeline.has_augmentation
-            and self._epoch is not None
-            and self._order is not None
-            and self._spawned_for is not None
-            and signature[1:] == self._spawned_for[1:]
-        )
-        if not in_place_ok:
+        if self._spawned_for is None or signature[1:] != self._spawned_for[1:]:
             self.invalidate()
             return "respawn"
-        streams = self.pipeline.reshard(len(learners))
-        self._pool.resize(learners, streams, (self._epoch, self._order, self._consumed))
+        self._pool.resize(learners)
         self._spawned_for = signature
         self.resizes_in_place += 1
         return "in-place"
@@ -898,13 +844,10 @@ class ProcessExecutor:
         self._spawned_for = None
 
     def close(self) -> None:
-        """Terminate the worker pool (the executor can be restarted after this).
+        """Terminate the worker pool and release the input matrices (idempotent).
 
         Worker buffers are synced back first so evaluation after close still
         sees the latest batch-norm statistics.
         """
         self._stop_pool(sync_buffers=True)
-
-    @property
-    def running(self) -> bool:
-        return self._pool is not None and self._pool.is_alive()
+        self._release_inputs()

@@ -9,6 +9,8 @@ of Algorithm 1.
 :class:`LearnerLanes` is the in-process executor: it runs the learners of one
 iteration at the same time, one lane per core that BLAS leaves free — the CPU
 analogue of the learners of one GPU sharing it through their own streams (§4).
+It and the multi-process executor draw their batches through
+:class:`EpochDraw`, from the trainer's one batch pipeline (§4.5).
 """
 
 from __future__ import annotations
@@ -67,17 +69,6 @@ class Learner:
         self.batches_processed += 1
         self.last_loss = float(loss.data)
         return gradient, self.last_loss
-
-    def compute_shard_gradient(self, stream, out: Optional[np.ndarray] = None) -> float:
-        """Pull the next batch from a shard stream and compute its gradient.
-
-        The multi-process executor's worker loop: ``stream`` is this learner's
-        :class:`~repro.data.sharding.ShardedBatchStream`, ``out`` its row of
-        the shared ``(k, P)`` update matrix.  Returns the batch loss.
-        """
-        batch = stream.next_batch()
-        _, loss = self.compute_gradient(batch, out=out)
-        return loss
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Top-1 accuracy of the replica on the given evaluation data."""
@@ -170,14 +161,65 @@ class _HelperLane:
         self._thread.join()
 
 
-class LearnerLanes:
+class EpochDraw:
+    """The epoch's batch draw, shared by both executors.
+
+    Every executor reads the trainer's one
+    :class:`~repro.data.batching.BatchPipeline` in its order: batch
+    ``i·k + j`` of an epoch goes to learner ``j``.  An executor's
+    ``issue_step`` takes its ``k`` batches with :meth:`_take`.
+    """
+
+    def __init__(self, pipeline: BatchPipeline) -> None:
+        self.pipeline = pipeline
+        self._epoch: Optional[int] = None
+        self._batches: Iterator[Batch] = iter(())
+        self._remaining = 0
+
+    def begin_epoch(self, epoch: int) -> None:
+        """Start drawing epoch ``epoch``'s batches."""
+        self._epoch = epoch
+        self._batches = self.pipeline.epoch_batches(epoch)
+        self._remaining = self.pipeline.batches_per_epoch
+
+    def batches_remaining(self) -> int:
+        """Batches left in the current epoch (issued steps count as consumed)."""
+        return self._remaining
+
+    def end_epoch(self) -> None:
+        """Draw the epoch's tail (fewer than ``k`` batches).
+
+        The tail advances the augmentation stream and finishes the pipeline's
+        epoch, as a loop that ran the iterator dry would.
+        """
+        try:
+            for _ in self._batches:
+                pass
+        finally:
+            self._batches = iter(())
+            self._remaining = 0
+
+    def _take(self, learners: Sequence[Learner]) -> List[Batch]:
+        """The next batch for each of ``learners``, in learner order."""
+        if self._epoch is None:
+            raise SchedulingError("issue_step() before begin_epoch()")
+        if self._remaining < len(learners):
+            raise SchedulingError(
+                f"epoch {self._epoch} has {self._remaining} batches left "
+                f"for {len(learners)} learners"
+            )
+        batches = [next(self._batches) for _ in learners]
+        self._remaining -= len(learners)
+        return batches
+
+
+class LearnerLanes(EpochDraw):
     """The in-process executor: each SMA iteration's learners on parallel lanes.
 
     It has :class:`~repro.engine.executor.ProcessExecutor`'s trainer-facing
-    surface, so one training loop drives both.  Batches come from the serial
-    :class:`~repro.data.batching.BatchPipeline` in its order (batch
-    ``i·k + j`` of an epoch to learner ``j``); :meth:`issue_step` takes them
-    and :meth:`collect_step` runs the passes.
+    surface, so one training loop drives both.  :meth:`issue_step` takes the
+    iteration's batches (:class:`EpochDraw`) and :meth:`collect_step` runs
+    the passes.
 
     Lane 0 is the calling thread; lanes ``1..w-1`` are helper threads, each
     pinned to its own CPU, started when a width first needs them and joined
@@ -188,12 +230,9 @@ class LearnerLanes:
     """
 
     def __init__(self, pipeline: BatchPipeline) -> None:
-        self.pipeline = pipeline
+        super().__init__(pipeline)
         self._helpers: List[_HelperLane] = []
         self._update_matrices: List[np.ndarray] = []
-        self._epoch: Optional[int] = None
-        self._batches: Iterator[Batch] = iter(())
-        self._remaining = 0
         self._step: Optional[Tuple[List[Learner], List[Batch], np.ndarray]] = None
         #: the widest iteration run so far
         self.widest = 1
@@ -207,29 +246,11 @@ class LearnerLanes:
         """Register the gradient buffers steps write (learners read their own bank rows)."""
         self._update_matrices = list(update_matrices)
 
-    # -- epoch protocol ------------------------------------------------------------------
-    def begin_epoch(self, epoch: int) -> None:
-        """Start drawing epoch ``epoch``'s batches."""
-        self._epoch = epoch
-        self._batches = self.pipeline.epoch_batches(epoch)
-        self._remaining = self.pipeline.batches_per_epoch
-
-    def batches_remaining(self) -> int:
-        """Batches left in the current epoch (issued steps count as consumed)."""
-        return self._remaining
-
     def end_epoch(self) -> None:
-        """Draw the epoch's tail (fewer than ``k`` batches), then join the helpers.
-
-        The tail advances the augmentation stream and finishes the pipeline's
-        epoch, as a loop that ran the iterator dry would.
-        """
+        """Draw the epoch's tail, then join the helpers."""
         try:
-            for _ in self._batches:
-                pass
+            super().end_epoch()
         finally:
-            self._batches = iter(())
-            self._remaining = 0
             self.close()
 
     # -- iteration protocol --------------------------------------------------------------
@@ -242,17 +263,9 @@ class LearnerLanes:
         ``updates_index``.  In-process learners read their own rows of the
         bank, so ``weights_index`` is only ever 0 (depth 1 needs processes).
         """
-        if self._epoch is None:
-            raise SchedulingError("issue_step() before begin_epoch()")
         if self._step is not None:
             raise SchedulingError("a step is already in flight")
-        if self._remaining < len(learners):
-            raise SchedulingError(
-                f"epoch {self._epoch} has {self._remaining} batches left "
-                f"for {len(learners)} learners"
-            )
-        batches = [next(self._batches) for _ in learners]
-        self._remaining -= len(learners)
+        batches = self._take(learners)
         self._step = (list(learners), batches, self._update_matrices[updates_index])
 
     def collect_step(self) -> np.ndarray:

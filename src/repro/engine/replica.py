@@ -278,8 +278,8 @@ class ReplicaPool:
         4. ``ReplicaBank.pack()`` — re-pack rows into learner order so
            ``active_matrix()`` stays a dense ``(k, P)`` prefix.
         5. Rebuild the synchroniser for the new ``k`` (preserving the central
-           model) and, under ``execution="process"``, invalidate the worker
-           pool so it respawns with the new shard count.
+           model) and, under ``execution="process"``, re-point the worker
+           pool's workers at their packed rows.
         """
         if self._locked:
             raise SchedulingError("replica pool is already locked")

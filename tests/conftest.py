@@ -2,10 +2,46 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+
 import pytest
 
 from repro.data import create_dataset
 from repro.utils.rng import RandomState
+
+
+def _shm_segments() -> set:
+    """Names of the ``multiprocessing.shared_memory`` segments that exist now."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _lane_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("learner-lane-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_resources():
+    """Fail a test that leaves a shared segment, a child process or a lane thread behind."""
+    segments = _shm_segments()
+    children = set(multiprocessing.active_children())
+    lanes = _lane_threads()
+    yield
+    leaks = []
+    new_segments = sorted(_shm_segments() - segments)
+    if new_segments:
+        leaks.append(f"shared-memory segments {new_segments}")
+    new_children = sorted(c.name for c in set(multiprocessing.active_children()) - children)
+    if new_children:
+        leaks.append(f"live child processes {new_children}")
+    new_lanes = sorted(thread.name for thread in _lane_threads() - lanes)
+    if new_lanes:
+        leaks.append(f"learner-lane threads {new_lanes}")
+    if leaks:
+        pytest.fail("test leaked " + "; ".join(leaks))
 
 
 @pytest.fixture

@@ -16,10 +16,8 @@ from repro.data import (
     partition_batch,
     random_crop,
     random_horizontal_flip,
-    round_robin_assignment,
 )
 from repro.data.batching import Batch
-from repro.data.sharding import first_come_first_served_assignment
 from repro.errors import DataError
 from repro.utils.rng import RandomState
 
@@ -145,6 +143,26 @@ class TestPreProcessorAndPipeline:
         second = np.concatenate([b.labels for b in pre.epoch_batches(1)])
         assert not np.array_equal(first, second)
 
+    def test_per_batch_gather_matches_a_whole_set_permutation(self, tiny_image_dataset):
+        """Gathering each batch's rows equals permuting the whole set, then slicing."""
+        dataset = tiny_image_dataset
+        pre = DataPreProcessor(
+            dataset,
+            batch_size=10,
+            augmentation=AugmentationPipeline.cifar_default(RandomState(3)),
+            rng=RandomState(4),
+        )
+        shuffle, augment = RandomState(4), AugmentationPipeline.cifar_default(RandomState(3))
+        for epoch in range(3):
+            order = shuffle.permutation(dataset.num_train)
+            images, labels = dataset.train_images[order], dataset.train_labels[order]
+            batches = list(pre.epoch_batches(epoch))
+            assert len(batches) == dataset.num_train // 10
+            for index, batch in enumerate(batches):
+                rows = slice(index * 10, (index + 1) * 10)
+                np.testing.assert_array_equal(batch.images, augment(images[rows]))
+                np.testing.assert_array_equal(batch.labels, labels[rows])
+
     def test_batch_size_larger_than_dataset_raises(self, blobs_dataset):
         with pytest.raises(DataError):
             DataPreProcessor(blobs_dataset, batch_size=blobs_dataset.num_train + 1)
@@ -189,14 +207,6 @@ class TestSharding:
         )
         with pytest.raises(DataError):
             partition_batch(batch, 3)
-
-    def test_round_robin_assignment(self):
-        assignment = round_robin_assignment(7, 3)
-        assert assignment == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_fcfs_assignment_respects_availability_order(self):
-        pairs = first_come_first_served_assignment(3, [2, 0, 1, 2])
-        assert pairs == [(0, 2), (1, 0), (2, 1)]
 
 
 class TestAugmentation:

@@ -1,11 +1,11 @@
-"""Tests for the multi-process learner executor and the sharded input path."""
+"""Tests for the multi-process learner executor and its shared-memory buffers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.data import BatchPipeline, ShardedBatchPipeline, ShardedBatchStream, create_dataset
+from repro.data import AugmentationPipeline, BatchPipeline
 from repro.engine import (
     CrossbowConfig,
     CrossbowTrainer,
@@ -15,17 +15,14 @@ from repro.engine import (
     SharedReplicaBank,
     process_execution_supported,
 )
-from repro.errors import ConfigurationError, DataError
+from repro.engine.learner import EpochDraw
+from repro.errors import ConfigurationError
 from repro.models import create_model
 from repro.utils.rng import RandomState
 
 needs_fork = pytest.mark.skipif(
     not process_execution_supported(), reason="requires the fork start method"
 )
-
-
-def _dataset(num_train=256, num_test=64):
-    return create_dataset("blobs", num_train=num_train, num_test=num_test)
 
 
 def _config(execution="serial", **overrides):
@@ -98,94 +95,192 @@ class TestSharedReplicaBank:
             bank.close()
 
 
-# --------------------------------------------------------------------- sharded streaming
-class TestShardedPipeline:
-    def test_matches_serial_batch_assignment(self):
-        """Shard j must stream exactly the batches learner j gets serially."""
-        dataset = _dataset()
-        k, batch_size, seed = 3, 16, 11
-        serial = BatchPipeline(
-            dataset, batch_size=batch_size, num_learners=k, rng=RandomState(seed, name="pipe")
-        )
-        sharded = ShardedBatchPipeline(
-            dataset, batch_size=batch_size, num_shards=k, rng=RandomState(seed, name="pipe")
-        )
+# --------------------------------------------------------------------- the one input path
+def _augmented_pipeline(dataset, num_learners):
+    return BatchPipeline(
+        dataset,
+        batch_size=7,
+        num_learners=num_learners,
+        augmentation=AugmentationPipeline.cifar_default(RandomState(2, name="augmentation")),
+        rng=RandomState(11, name="pipeline"),
+    )
+
+
+class TestEpochDraw:
+    """Both executors draw the trainer's pipeline in its order."""
+
+    def test_matches_serial_batch_assignment(self, tiny_image_dataset):
+        """Learner j gets batch i·k + j, and the tail keeps the next epoch aligned."""
+        k = 3
+        draw = EpochDraw(_augmented_pipeline(tiny_image_dataset, k))
+        reference = _augmented_pipeline(tiny_image_dataset, k)
+        learners = [None] * k  # the draw only counts its learners
         for epoch in range(2):
-            serial_batches = list(serial.epoch_batches(epoch))
-            order = sharded.begin_epoch(epoch)
-            for stream in sharded.streams:
-                stream.start_epoch(epoch, order)
-            iterations = sharded.iterations_per_epoch()
-            assert iterations == serial.batches_per_epoch // k
-            for i in range(iterations):
-                for j, stream in enumerate(sharded.streams):
-                    expected = serial_batches[i * k + j]
-                    batch = stream.next_batch()
-                    np.testing.assert_array_equal(batch.images, expected.images)
-                    np.testing.assert_array_equal(batch.labels, expected.labels)
+            expected = list(reference.epoch_batches(epoch))
+            assert len(expected) % k == 1  # 13 batches: a one-batch tail
+            draw.begin_epoch(epoch)
+            for i in range(len(expected) // k):
+                for j, batch in enumerate(draw._take(learners)):
+                    np.testing.assert_array_equal(batch.images, expected[i * k + j].images)
+                    np.testing.assert_array_equal(batch.labels, expected[i * k + j].labels)
+            assert draw.batches_remaining() == 1
+            draw.end_epoch()
+            assert draw.batches_remaining() == 0
 
-    def test_prefetch_double_buffering(self):
-        dataset = _dataset()
-        pipeline = ShardedBatchPipeline(dataset, batch_size=16, num_shards=2, prefetch_depth=2)
-        stream = pipeline.streams[0]
-        order = pipeline.begin_epoch(0)
-        stream.start_epoch(0, order)
-        # start_epoch fills the buffer up to the prefetch depth.
-        assert len(stream._buffer) == 2
-        first = stream.next_batch()
-        assert first.index == 0
-        assert stream.prefetch() == 2
+    def test_end_epoch_mid_epoch_drains_the_rest(self, tiny_image_dataset):
+        """An epoch cut short still advances the augmentation stream fully."""
+        k = 2
+        draw = EpochDraw(_augmented_pipeline(tiny_image_dataset, k))
+        reference = _augmented_pipeline(tiny_image_dataset, k)
+        draw.begin_epoch(0)
+        draw._take([None] * k)
+        draw.end_epoch()
+        list(reference.epoch_batches(0))
+        draw.begin_epoch(1)
+        for expected, batch in zip(reference.epoch_batches(1), draw._take([None] * k)):
+            np.testing.assert_array_equal(batch.images, expected.images)
+            np.testing.assert_array_equal(batch.labels, expected.labels)
 
-    def test_stream_exhaustion(self):
-        dataset = _dataset(num_train=64)
-        pipeline = ShardedBatchPipeline(dataset, batch_size=16, num_shards=2)
-        stream = pipeline.streams[1]
-        stream.start_epoch(0, pipeline.begin_epoch(0))
-        consumed = 0
-        while stream.remaining():
-            stream.next_batch()
-            consumed += 1
-        assert consumed == 2  # 4 global batches, stride 2
-        with pytest.raises(DataError):
-            stream.next_batch()
 
-    def test_mid_epoch_offset_resumes_correctly(self):
-        """A resize re-creates streams mid-epoch; offset skips consumed batches."""
-        dataset = _dataset()
-        pipeline = ShardedBatchPipeline(dataset, batch_size=16, num_shards=2)
-        order = pipeline.begin_epoch(0)
-        streams = pipeline.reshard(4)
-        for stream in streams:
-            stream.start_epoch(0, order, offset=8)
-        assert streams[0].next_batch().index == 8
-        assert streams[3].next_batch().index == 11
+@needs_fork
+class TestSharedInputRows:
+    """Forked learners read their batches from the executor's shared rows."""
 
-    def test_reshard_preserves_master_stream(self):
-        dataset = _dataset()
-        a = ShardedBatchPipeline(dataset, batch_size=16, num_shards=2, rng=RandomState(5))
-        b = ShardedBatchPipeline(dataset, batch_size=16, num_shards=2, rng=RandomState(5))
-        b.reshard(4)
-        b.reshard(2)
-        np.testing.assert_array_equal(a.begin_epoch(0), b.begin_epoch(0))
+    @staticmethod
+    def _rows(executor, count):
+        # Copies: a live view would keep the segment from being unlinked on close.
+        images, labels = executor._inputs
+        return images[:count].copy(), labels[:count].copy()
 
-    def test_validation(self):
-        dataset = _dataset(num_train=64)
-        with pytest.raises(DataError):
-            ShardedBatchPipeline(dataset, batch_size=128, num_shards=1)
-        with pytest.raises(DataError):
-            ShardedBatchPipeline(dataset, batch_size=16, num_shards=0)
-        with pytest.raises(DataError):
-            ShardedBatchStream(dataset, batch_size=16, shard_index=2, num_shards=2)
+    def test_sized_like_the_update_matrices(self):
+        trainer = CrossbowTrainer(_config("process"))
+        try:
+            executor = trainer._executor
+            (images_shape, images_dtype), (labels_shape, labels_dtype) = [
+                (matrix.shape, matrix.dtype) for matrix in executor._inputs
+            ]
+            rows = executor._update_matrices[0].shape[0]
+            dataset = trainer.dataset
+            assert images_shape == (rows, 16, *dataset.train_images.shape[1:])
+            assert labels_shape == (rows, 16)
+            assert images_dtype == dataset.train_images.dtype
+            assert labels_dtype == dataset.train_labels.dtype
+        finally:
+            trainer.close()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # 32 images of 3x16x16 float32: 96 KiB, more than a pipe buffer holds.
+            dict(
+                model_name="resnet32-scaled",
+                dataset_name="cifar10-scaled",
+                use_augmentation=True,
+                batch_size=32,
+                dataset_overrides={"num_train": 128, "num_test": 32},
+                model_overrides={"width_multiplier": 0.25, "blocks_per_stage": 1},
+            ),
+        ],
+        ids=["mlp", "resnet-augmented"],
+    )
+    def test_rows_hold_each_learners_batch(self, overrides):
+        trainer = CrossbowTrainer(_config("process", **overrides))
+        reference = CrossbowTrainer(_config("serial", **overrides))
+        try:
+            expected = list(reference.pipeline.epoch_batches(0))
+            executor = trainer._executor
+            k = len(trainer.learners)
+            executor.begin_epoch(0)
+            for i in range(2):
+                executor.issue_step(trainer.learners)
+                assert np.isfinite(executor.collect_step()).all()
+                images, labels = self._rows(executor, k)
+                for j in range(k):
+                    np.testing.assert_array_equal(images[j], expected[i * k + j].images)
+                    np.testing.assert_array_equal(labels[j], expected[i * k + j].labels)
+            executor.end_epoch()
+        finally:
+            trainer.close()
+            reference.close()
+
+    def test_in_place_resize_mid_epoch_continues_the_draw(self):
+        """A resize re-points the workers; the surviving rows take the next batches."""
+        trainer = CrossbowTrainer(_config("process", replicas_per_gpu=3))
+        reference = CrossbowTrainer(_config("serial", replicas_per_gpu=3))
+        try:
+            expected = list(reference.pipeline.epoch_batches(0))
+            executor = trainer._executor
+            executor.begin_epoch(0)
+            executor.issue_step(trainer.learners)
+            executor.collect_step()
+            survivors = trainer.learners[:2]
+            assert executor.resize(survivors) == "in-place"
+            executor.issue_step(survivors)
+            assert np.isfinite(executor.collect_step()).all()
+            images, labels = self._rows(executor, 2)
+            for j in range(2):
+                np.testing.assert_array_equal(images[j], expected[3 + j].images)
+                np.testing.assert_array_equal(labels[j], expected[3 + j].labels)
+            assert executor.batches_remaining() == len(expected) - 5
+            executor.end_epoch()
+        finally:
+            trainer.close()
+            reference.close()
+
+    def test_rebinding_reallocates_and_close_releases_them(self):
+        from repro.errors import SchedulingError
+
+        trainer = CrossbowTrainer(_config("process"))
+        executor = trainer._executor
+        bank = trainer.replica_bank
+        rows, cols = executor._update_matrices[0].shape
+        replacement = SharedMatrix(rows + 1, cols)
+        try:
+            bound = list(executor._input_segments)
+            executor.bind_buffers(bank, (), list(executor._update_matrices))
+            assert executor._input_segments == bound  # same buffers: nothing reallocated
+            executor.bind_buffers(bank, (), [replacement.array])
+            assert all(segment.closed for segment in bound)
+            assert executor._inputs[0].shape[0] == rows + 1
+            fresh = list(executor._input_segments)
+            executor.bind_buffers(bank, (), [trainer._update_matrix])
+            assert all(segment.closed for segment in fresh)
+            final = list(executor._input_segments)
+            trainer.close()
+            assert all(segment.closed for segment in final)
+            executor.begin_epoch(0)
+            with pytest.raises(SchedulingError, match="after close"):
+                executor.issue_step(trainer.learners)
+        finally:
+            trainer.close()
+            replacement.close()
 
 
 # --------------------------------------------------------------------- end-to-end equality
 @needs_fork
 class TestProcessExecution:
-    def test_process_matches_serial_bitwise(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # Augmented batches come from the one pipeline in both modes.
+            dict(
+                model_name="resnet32-scaled",
+                dataset_name="cifar10-scaled",
+                use_augmentation=True,
+                max_epochs=1,
+                seed=3,
+                dataset_overrides={"num_train": 96, "num_test": 32},
+            ),
+        ],
+        ids=["mlp", "resnet-augmented"],
+    )
+    def test_process_matches_serial_bitwise(self, overrides):
         """The acceptance criterion: identical central model across modes."""
         results = {}
         for execution in ("serial", "process"):
-            trainer = CrossbowTrainer(_config(execution))
+            trainer = CrossbowTrainer(_config(execution, **overrides))
             try:
                 trainer.train()
                 results[execution] = {

@@ -41,9 +41,9 @@ def _config(**overrides):
 def _respawn_on_resize(trainer):
     """Make every resize take the automatic respawn fallback.
 
-    The fallback is what a reallocated shared buffer or an augmented input
-    path triggers by itself; forcing it gives the in-place resize a reference
-    run to be bit-compared against.
+    The fallback is what a reallocated shared buffer triggers by itself;
+    forcing it gives the in-place resize a reference run to be bit-compared
+    against.
     """
     executor = trainer._executor
 
@@ -256,10 +256,30 @@ class TestPersistentPool:
         defaults.update(overrides)
         return _config(**defaults)
 
-    def test_persistent_resize_matches_respawn_bitwise(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # Augmentation lives in the parent's pipeline, so it stays in place.
+            dict(
+                model_name="resnet32-scaled",
+                dataset_name="cifar10-scaled",
+                use_augmentation=True,
+                batch_size=16,
+                max_replicas_per_gpu=2,
+                auto_tune_interval=2,
+                max_epochs=2,
+                seed=11,
+                dataset_overrides={"num_train": 128, "num_test": 32},
+                model_overrides={"width_multiplier": 0.25, "blocks_per_stage": 1},
+            ),
+        ],
+        ids=["mlp", "resnet-augmented"],
+    )
+    def test_persistent_resize_matches_respawn_bitwise(self, overrides):
         """In-place re-sharding must be numerically invisible."""
-        persistent = _final_state(self._autotune_config())
-        respawned = _final_state(self._autotune_config(), respawn_on_resize=True)
+        persistent = _final_state(self._autotune_config(**overrides))
+        respawned = _final_state(self._autotune_config(**overrides), respawn_on_resize=True)
         np.testing.assert_array_equal(persistent["center"], respawned["center"])
         np.testing.assert_array_equal(persistent["weights"], respawned["weights"])
         assert persistent["accuracy"] == respawned["accuracy"]

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data.batching import Batch, CircularBatchBuffer
-from repro.data.sharding import partition_batch, round_robin_assignment
+from repro.data.sharding import partition_batch
 from repro.engine import OperatorSpec, naive_memory_plan, offline_memory_plan
 from repro.engine.autotuner import AutoTuner
 from repro.optim import SMA, SMAConfig
@@ -171,15 +171,6 @@ class TestDataStructureProperties:
         shards = partition_batch(batch, partitions)
         assert sum(s.size for s in shards) == batch_size
         assert max(s.size for s in shards) - min(s.size for s in shards) <= 1
-
-    @SETTINGS
-    @given(items=st.integers(0, 100), workers=st.integers(1, 10))
-    def test_round_robin_assignment_is_balanced_and_complete(self, items, workers):
-        assignment = round_robin_assignment(items, workers)
-        flattened = sorted(i for worker in assignment for i in worker)
-        assert flattened == list(range(items))
-        sizes = [len(worker) for worker in assignment]
-        assert max(sizes) - min(sizes) <= 1
 
     @SETTINGS
     @given(
