@@ -1,4 +1,4 @@
-"""Concurrency lint and shared-memory race sanitizer for the repro codebase.
+"""Project lint and shared-memory race sanitizer for the repro codebase.
 
 The repository's correctness rests on three cooperating shared-memory
 protocols — the executor's double-buffered gradient/weight views, the
@@ -8,7 +8,8 @@ fork-safety conventions were previously enforced only by review.  This
 package makes those conventions checkable:
 
 * **Static half** — an AST-based rule framework (:mod:`repro.analysis.core`)
-  with four project-specific rules:
+  with five project-specific rules, four for the protocols and one for the
+  library's surface:
 
   - ``R1`` *lock discipline* (:mod:`repro.analysis.lock_discipline`) —
     registered cross-process state words may only be touched under a lock or
@@ -23,6 +24,9 @@ package makes those conventions checkable:
   - ``R4`` *deferred-publish ordering* (:mod:`repro.analysis.publish_order`)
     — a ``step_matrix(..., out=)`` deferred write must be followed by a
     buffer flip before any worker-visible read.
+  - ``R6`` *test-only surface* (:mod:`repro.analysis.surface`) — a public
+    top-level function or class in ``src/repro/`` must be used outside
+    ``tests/``.
 
   Run it as ``python -m repro.analysis src tests``; per-line
   ``# repro: waive[R1]`` suppressions and a committed JSON baseline keep the
@@ -51,15 +55,17 @@ from repro.analysis.lock_discipline import LockDisciplineRule
 from repro.analysis.protocol import DEFAULT_SPEC, ProtocolSpec
 from repro.analysis.publish_order import PublishOrderRule
 from repro.analysis.slot_protocol import SlotProtocolRule
+from repro.analysis.surface import UnusedSurfaceRule
 
 
 def default_rules(spec: ProtocolSpec = DEFAULT_SPEC) -> list:
-    """The project rule set R1-R4, bound to ``spec``'s protocol registries."""
+    """The project rule set: R1-R4 bound to ``spec``'s protocol registries, and R6."""
     return [
         LockDisciplineRule(spec),
         SlotProtocolRule(spec),
         ForkSafetyRule(spec),
         PublishOrderRule(spec),
+        UnusedSurfaceRule(),
     ]
 
 
@@ -79,4 +85,5 @@ __all__ = [
     "SlotProtocolRule",
     "ForkSafetyRule",
     "PublishOrderRule",
+    "UnusedSurfaceRule",
 ]

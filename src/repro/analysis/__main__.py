@@ -39,7 +39,7 @@ DEFAULT_BASELINE = Path("tools") / "analysis_baseline.json"
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Concurrency lint for the repro shared-memory protocols (rules R1-R4).",
+        description="Project lint: protocol rules R1-R4 and the test-only surface rule R6.",
     )
     parser.add_argument(
         "paths",

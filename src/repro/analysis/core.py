@@ -102,15 +102,18 @@ class FileContext:
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    #: the directory ``display_path`` is relative to, when the runner has one
+    root: Optional[Path] = None
 
     @classmethod
-    def parse(cls, display_path: str, source: str) -> "FileContext":
+    def parse(cls, display_path: str, source: str, root: Optional[Path] = None) -> "FileContext":
         tree = ast.parse(source, filename=display_path)
         return cls(
             display_path=display_path,
             source=source,
             tree=tree,
             lines=source.splitlines(),
+            root=root,
         )
 
 
@@ -217,11 +220,12 @@ def analyze_source(
     source: str,
     rules: Sequence[Rule],
     display_path: str = "<string>",
+    root: Optional[Path] = None,
 ) -> AnalysisReport:
     """Apply ``rules`` to one source string, applying per-line waivers."""
     report = AnalysisReport(checked_files=1)
     try:
-        context = FileContext.parse(display_path, source)
+        context = FileContext.parse(display_path, source, root=root)
     except SyntaxError as exc:
         report.parse_errors.append(f"{display_path}:{exc.lineno}: {exc.msg}")
         return report
@@ -254,7 +258,7 @@ def analyze_file(path: Path, rules: Sequence[Rule], root: Optional[Path] = None)
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise AnalysisError(f"cannot read {path}: {exc}") from exc
-    return analyze_source(source, rules, display_path=display)
+    return analyze_source(source, rules, display_path=display, root=root)
 
 
 def iter_python_files(

@@ -13,11 +13,9 @@ from repro.data.datasets import (
     Dataset,
     SyntheticImageDataset,
     create_dataset,
-    dataset_names,
 )
 from repro.data.augmentation import (
     AugmentationPipeline,
-    normalize,
     random_crop,
     random_horizontal_flip,
 )
@@ -29,9 +27,7 @@ __all__ = [
     "Dataset",
     "SyntheticImageDataset",
     "create_dataset",
-    "dataset_names",
     "AugmentationPipeline",
-    "normalize",
     "random_crop",
     "random_horizontal_flip",
     "Batch",

@@ -7,27 +7,11 @@ horizontal flip, per-channel normalisation) operating on NCHW NumPy batches.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.utils.rng import RandomState
-
-
-def normalize(
-    images: np.ndarray,
-    mean: Optional[Sequence[float]] = None,
-    std: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Normalise per channel; defaults to the batch's own statistics."""
-    channels = images.shape[1]
-    if mean is None:
-        mean = images.mean(axis=(0, 2, 3))
-    if std is None:
-        std = images.std(axis=(0, 2, 3)) + 1e-6
-    mean_arr = np.asarray(mean, dtype=np.float32).reshape(1, channels, 1, 1)
-    std_arr = np.asarray(std, dtype=np.float32).reshape(1, channels, 1, 1)
-    return (images - mean_arr) / std_arr
 
 
 def random_horizontal_flip(

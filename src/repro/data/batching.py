@@ -215,10 +215,6 @@ class BatchPipeline:
     def batches_per_epoch(self) -> int:
         return self.preprocessors[0].batches_per_epoch
 
-    @property
-    def samples_per_epoch(self) -> int:
-        return self.batches_per_epoch * self.batch_size
-
     def epoch_batches(self, epoch: int) -> Iterator[Batch]:
         """Yield one epoch of batches, cycling through pre-processors.
 

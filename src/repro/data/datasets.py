@@ -227,8 +227,3 @@ def _blobs(
 def create_dataset(name: str, **overrides) -> Dataset:
     """Instantiate a registered dataset configuration by name."""
     return DATASET_REGISTRY.create(name, **overrides)
-
-
-def dataset_names():
-    """Names of every registered dataset configuration."""
-    return DATASET_REGISTRY.names()

@@ -15,6 +15,7 @@ from repro.data.batching import Batch
 from repro.errors import DataError
 
 
+# repro: waive[R6] - the S-SGD split the sharded-gradient tests check the full batch against
 def partition_batch(batch: Batch, num_partitions: int) -> List[Batch]:
     """Split ``batch`` into ``num_partitions`` near-equal shards (S-SGD style).
 

@@ -35,7 +35,6 @@ from repro.engine.memory_plan import (
     online_shared_plan,
     operator_specs_from_forward,
 )
-from repro.engine.dataflow import DataflowGraph, OperatorNode, trace_dataflow
 from repro.engine.config import CrossbowConfig
 from repro.engine.crossbow import CrossbowTrainer
 
@@ -69,9 +68,6 @@ __all__ = [
     "naive_memory_plan",
     "online_shared_plan",
     "operator_specs_from_forward",
-    "DataflowGraph",
-    "OperatorNode",
-    "trace_dataflow",
     "CrossbowConfig",
     "CrossbowTrainer",
 ]

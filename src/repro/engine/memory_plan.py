@@ -196,9 +196,8 @@ def operator_specs_from_forward(
         for name, module in leaf_modules:
             originals[name] = module.forward
 
-            def wrapped(x, _module=module, _name=name, _original=None):
-                original = originals[_name]
-                output = original(x)
+            def wrapped(x, _name=name):
+                output = originals[_name](x)
                 size = int(np.prod(output.shape)) * 4 if hasattr(output, "shape") else 0
                 records.append((_name, size))
                 return output

@@ -201,14 +201,15 @@ class ReplicaBank:
 
 
 class ReplicaPool:
-    """The pool of model replicas the task scheduler draws from.
+    """The pool of model replicas, one per learner.
 
-    Replicas are checked out when a learning task is scheduled and checked back
-    in when the task manager handles the completion event.  The auto-tuner
-    resizes the pool at iteration boundaries (§4.4) while holding it locked via
-    :meth:`locked`, which blocks checkouts but lets the lock holder add and
-    remove replicas.  When constructed with a :class:`ReplicaBank`, every
-    replica added to the pool is bank-backed.
+    The trainer adds a replica per learner and, when the auto-tuner resizes
+    the pool at an iteration boundary (§4.4), adds or removes replicas while
+    holding it locked via :meth:`locked`.  The checkout cycle
+    (:meth:`acquire`/:meth:`release`) models the paper's per-task checkout,
+    but nothing in the training loop checks replicas out: the loop runs
+    every learner each iteration.  When constructed with a
+    :class:`ReplicaBank`, every replica added to the pool is bank-backed.
     """
 
     def __init__(self, bank: Optional[ReplicaBank] = None) -> None:

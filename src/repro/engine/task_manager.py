@@ -67,13 +67,6 @@ class TaskManager:
         samples = sum(event.samples for event in self._recent)
         return samples / elapsed
 
-    def task_completion_rate(self) -> float:
-        """Learning tasks per second over the whole run."""
-        if not self.events:
-            return 0.0
-        elapsed = self.events[-1].sim_time
-        return self.total_learning_tasks / elapsed if elapsed > 0 else 0.0
-
     def cumulative_throughput(self) -> float:
         """Images/second since the start of training."""
         if not self.events:

@@ -16,7 +16,6 @@ from repro.experiments.workloads import (
 from repro.experiments.reporting import (
     format_table,
     record_bench_summary,
-    results_to_rows,
     save_rows,
 )
 # Training-plane studies that run on the scenario sweep engine; re-exported
@@ -48,7 +47,6 @@ __all__ = [
     "workload_for_model",
     "format_table",
     "record_bench_summary",
-    "results_to_rows",
     "save_rows",
     "run_table1_model_inventory",
     "run_fig2_hardware_efficiency",

@@ -13,14 +13,7 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from repro.engine.metrics import TrainingResult
-
-
-def results_to_rows(results: Iterable[TrainingResult]) -> List[Dict[str, object]]:
-    """Flatten :class:`TrainingResult` objects into table rows."""
-    return [result.summary() for result in results]
+from typing import Dict, Optional, Sequence
 
 
 def format_table(

@@ -9,7 +9,7 @@ efficiency* in the paper:
 * a **kernel cost model** mapping (model, batch size, concurrent learners) to a
   task duration, including streaming-multiprocessor contention when several
   learners share a GPU (§3.3),
-* a **PCIe/NVLink topology** and a **ring all-reduce** cost model for the
+* a **PCIe topology** and a **ring all-reduce** cost model for the
   inter-GPU synchronisation traffic (§4.2),
 * a **copy engine** for host-to-device input transfers that overlap with
   compute (§4.5).
@@ -28,7 +28,7 @@ from repro.gpusim.costmodel import (
     local_sync_duration,
     utilisation,
 )
-from repro.gpusim.topology import Interconnect, Topology, pcie_tree_topology, nvlink_topology
+from repro.gpusim.topology import Interconnect, Topology, pcie_tree_topology
 from repro.gpusim.allreduce import ring_allreduce_time, hierarchical_reduce_time
 from repro.gpusim.device import Event, Gpu, Stream, TaskRecord
 from repro.gpusim.server import MultiGpuServer, titan_x_server
@@ -45,7 +45,6 @@ __all__ = [
     "Interconnect",
     "Topology",
     "pcie_tree_topology",
-    "nvlink_topology",
     "ring_allreduce_time",
     "hierarchical_reduce_time",
     "Event",

@@ -27,19 +27,6 @@ def ring_allreduce_time(size_bytes: float, topology: Topology) -> float:
     return transfer + latency
 
 
-def broadcast_time(size_bytes: float, topology: Topology) -> float:
-    """Time to broadcast ``size_bytes`` from one GPU to all others (ring pipeline)."""
-    if size_bytes < 0:
-        raise ConfigurationError("payload size must be non-negative")
-    num_gpus = topology.num_gpus
-    if num_gpus <= 1 or size_bytes == 0:
-        return 0.0
-    link = topology.ring_bottleneck()
-    return (num_gpus - 1) * (size_bytes / (num_gpus * link.bandwidth) + link.latency) + (
-        size_bytes / link.bandwidth
-    ) * (1.0 / num_gpus)
-
-
 def hierarchical_reduce_time(
     size_bytes: float, topology: Topology, replicas_per_gpu: int
 ) -> float:

@@ -152,12 +152,6 @@ class Gpu:
     def learner_streams(self) -> List[Stream]:
         return [s for s in self.streams.values() if s.kind == "learner"]
 
-    def all_records(self) -> List[TaskRecord]:
-        records: List[TaskRecord] = []
-        for stream in self.streams.values():
-            records.extend(stream.records)
-        return sorted(records, key=lambda r: (r.start, r.end))
-
     def busy_time(self, until: Optional[float] = None) -> float:
         return sum(stream.busy_time(until) for stream in self.streams.values())
 

@@ -29,7 +29,6 @@ class Interconnect:
 PCIE_SWITCH = Interconnect("pcie-switch", 12e9, 5e-6)
 PCIE_HOST_BRIDGE = Interconnect("pcie-host-bridge", 10e9, 8e-6)
 QPI = Interconnect("qpi", 8e9, 12e-6)
-NVLINK = Interconnect("nvlink", 40e9, 3e-6)
 
 
 @dataclass
@@ -76,17 +75,6 @@ class Topology:
                 worst = link
         return worst
 
-    def bisection_bandwidth(self) -> float:
-        """Aggregate bandwidth across the midpoint cut of the ring."""
-        if self.num_gpus == 1:
-            return PCIE_SWITCH.bandwidth
-        half = self.num_gpus // 2
-        total = 0.0
-        for (a, b), link in self.links.items():
-            if (a < half) != (b < half):
-                total += link.bandwidth
-        return total if total > 0 else self.ring_bottleneck().bandwidth
-
 
 def pcie_tree_topology(num_gpus: int) -> Topology:
     """Binary PCIe tree: pairs on switches, quads on host bridges, sockets over QPI."""
@@ -103,13 +91,3 @@ def pcie_tree_topology(num_gpus: int) -> Topology:
                 link = QPI
             links[(a, b)] = link
     return Topology(num_gpus=num_gpus, links=links, name=f"pcie-tree-{num_gpus}")
-
-
-def nvlink_topology(num_gpus: int) -> Topology:
-    """Fully NVLink-connected topology (used by the interconnect ablation bench)."""
-    if num_gpus < 1:
-        raise ConfigurationError("need at least one GPU")
-    links = {
-        (a, b): NVLINK for a in range(num_gpus) for b in range(a + 1, num_gpus)
-    }
-    return Topology(num_gpus=num_gpus, links=links, name=f"nvlink-{num_gpus}")

@@ -9,7 +9,7 @@ connections, conv/BN/pool structure — so the per-model trends reported in the
 paper survive the substitution (see DESIGN.md §2).
 """
 
-from repro.models.registry import MODEL_REGISTRY, create_model, model_names
+from repro.models.registry import MODEL_REGISTRY, create_model
 from repro.models.lenet import LeNet
 from repro.models.resnet import ResNet, BasicBlock, BottleneckBlock, resnet32, resnet50
 from repro.models.vgg import VGG, vgg16
@@ -19,7 +19,6 @@ from repro.models.summary import ModelSummary, summarize_model
 __all__ = [
     "MODEL_REGISTRY",
     "create_model",
-    "model_names",
     "LeNet",
     "ResNet",
     "BasicBlock",

@@ -94,8 +94,3 @@ def _mlp(rng: Optional[RandomState] = None, **overrides):
 def create_model(name: str, rng: Optional[RandomState] = None, **overrides):
     """Instantiate a registered model configuration by name."""
     return MODEL_REGISTRY.create(name, rng=rng, **overrides)
-
-
-def model_names():
-    """Names of every registered model configuration."""
-    return MODEL_REGISTRY.names()

@@ -2,15 +2,15 @@
 
 Table 1 lists, per benchmark model: the dataset, its input size (MB), the
 number of dataflow operators and the model size (MB).  ``summarize_model``
-derives the operator count and model size by traversing the module tree the
-same way Crossbow's dataflow builder would (every leaf layer is one operator,
-residual blocks additionally contribute their element-wise add).
+derives the operator count and model size by traversing the module tree:
+every leaf layer is one operator, and residual blocks additionally contribute
+their element-wise add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.nn.module import Module
 from repro.models.resnet import BasicBlock, BottleneckBlock
@@ -25,9 +25,6 @@ class ModelSummary:
     num_parameters: int
     model_size_mb: float
     num_layers_by_type: Dict[str, int]
-
-    def as_row(self) -> Tuple[str, int, float]:
-        return self.name, self.num_operators, self.model_size_mb
 
 
 def _is_leaf(module: Module) -> bool:

@@ -10,7 +10,7 @@
 * :class:`~repro.optim.ssgd.SSGD` — parallel synchronous SGD, the
   TensorFlow-style baseline of §2.3, as a fused step over the replica bank.
 * :mod:`~repro.optim.schedules` — learning-rate schedules (step decay for
-  ResNet-32, halving for VGG, warm-up) shared by all trainers.
+  ResNet-32, halving for VGG) shared by all trainers.
 """
 
 from repro.optim.optimizer import Optimizer
@@ -20,14 +20,12 @@ from repro.optim.schedules import (
     LearningRateSchedule,
     MultiStepSchedule,
     StepDecaySchedule,
-    WarmupSchedule,
     schedule_for_model,
 )
 from repro.optim.sma import SMA, SMAConfig
 from repro.optim.easgd import EASGD, EASGDConfig
 from repro.optim.ssgd import SSGD
 from repro.optim.asgd import ASGD, StalenessModel
-from repro.optim.averaging import polyak_ruppert_average
 
 __all__ = [
     "Optimizer",
@@ -36,7 +34,6 @@ __all__ = [
     "ConstantSchedule",
     "StepDecaySchedule",
     "MultiStepSchedule",
-    "WarmupSchedule",
     "schedule_for_model",
     "SMA",
     "SMAConfig",
@@ -45,5 +42,4 @@ __all__ = [
     "SSGD",
     "ASGD",
     "StalenessModel",
-    "polyak_ruppert_average",
 ]

@@ -80,22 +80,6 @@ class StepDecaySchedule(LearningRateSchedule):
         return self.base_rate * (self.gamma**steps)
 
 
-class WarmupSchedule(LearningRateSchedule):
-    """Linear warm-up over the first epochs, then delegate to an inner schedule."""
-
-    def __init__(self, inner: LearningRateSchedule, warmup_epochs: float = 5.0) -> None:
-        if warmup_epochs < 0:
-            raise ConfigurationError("warm-up length must be non-negative")
-        self.inner = inner
-        self.warmup_epochs = warmup_epochs
-
-    def rate(self, epoch: float) -> float:
-        target = self.inner.rate(epoch)
-        if self.warmup_epochs == 0 or epoch >= self.warmup_epochs:
-            return target
-        return target * max(epoch, 1e-3) / self.warmup_epochs
-
-
 # Hyper-parameters used in the paper's evaluation (Figure 9 captions): learning
 # rate, momentum and weight decay per model, plus the schedule shape.
 PAPER_HYPERPARAMETERS: Dict[str, Dict[str, float]] = {

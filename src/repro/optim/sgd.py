@@ -9,6 +9,7 @@ from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
 
 
+# repro: waive[R6] - the reference the fused steps are tested against bit for bit
 class SGD(Optimizer):
     """Stochastic gradient descent with momentum.
 

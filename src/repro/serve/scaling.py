@@ -582,7 +582,7 @@ class ServingAutoTuner(AutoTuner):
         return decision
 
 
-def autoscale_step(
+def autoscale_step(  # repro: waive[R6] - documented API, docs/serving.md and docs/autoscaling.md
     server: PooledInferenceServer,
     tuner: ServingAutoTuner,
     conn: sqlite3.Connection,

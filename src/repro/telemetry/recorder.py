@@ -267,7 +267,7 @@ def configure(
     return _default
 
 
-def set_recorder(recorder: Recorder) -> Recorder:
+def set_recorder(recorder: Recorder) -> Recorder:  # repro: waive[R6] - test hook on global state
     """Install a caller-built recorder as the global one (tests)."""
     global _default
     _default = recorder

@@ -22,7 +22,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.telemetry import queries
 from repro.telemetry.store import TelemetryStore, default_db_path

@@ -38,7 +38,7 @@ def current_run_id() -> str:
     return _run_id
 
 
-def set_run_id(run_id: str) -> str:
+def set_run_id(run_id: str) -> str:  # repro: waive[R6] - test hook on the process-wide run id
     """Force the run id (tests, or a harness grouping several commands)."""
     global _run_id
     _run_id = run_id
@@ -46,7 +46,7 @@ def set_run_id(run_id: str) -> str:
     return run_id
 
 
-def reset_run_id() -> None:
+def reset_run_id() -> None:  # repro: waive[R6] - test hook on the process-wide run id
     """Drop the cached id so the next :func:`current_run_id` re-resolves."""
     global _run_id
     _run_id = None

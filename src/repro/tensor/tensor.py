@@ -118,10 +118,6 @@ class Tensor:
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(array, requires_grad=requires_grad)
-
     # -- basic properties ------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:

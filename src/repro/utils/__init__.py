@@ -1,13 +1,12 @@
 """Shared utilities: RNG management, registries, timers and lightweight logging."""
 
-from repro.utils.rng import RandomState, seed_everything, split_seed
+from repro.utils.rng import RandomState, split_seed
 from repro.utils.registry import Registry
 from repro.utils.timer import Timer
 from repro.utils.logging import get_logger
 
 __all__ = [
     "RandomState",
-    "seed_everything",
     "split_seed",
     "Registry",
     "Timer",

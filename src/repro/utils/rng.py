@@ -9,13 +9,9 @@ are reproducible and independent components do not perturb each other's streams.
 from __future__ import annotations
 
 import hashlib
-import random
 from typing import Optional
 
 import numpy as np
-
-_GLOBAL_SEED: Optional[int] = None
-
 
 class RandomState:
     """A named, seedable wrapper around :class:`numpy.random.Generator`.
@@ -74,16 +70,3 @@ def split_seed(seed: int, key: str) -> int:
     """Deterministically derive a new 63-bit seed from ``seed`` and a string key."""
     digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") & 0x7FFFFFFFFFFFFFFF
-
-
-def seed_everything(seed: int) -> None:
-    """Seed Python's and NumPy's global generators (used by example scripts)."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = seed
-    random.seed(seed)
-    np.random.seed(seed % (2**32 - 1))
-
-
-def global_seed() -> Optional[int]:
-    """Return the last seed passed to :func:`seed_everything`, if any."""
-    return _GLOBAL_SEED

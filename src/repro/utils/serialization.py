@@ -1,18 +1,10 @@
-"""Checkpointing: save and restore models and trainer state as ``.npz`` files.
+"""Named-array archives: save and restore arrays plus metadata as ``.npz`` files.
 
-The original system checkpoints model weights so long runs can resume after a
-learning-rate change or a failure.  Checkpoints here hold the parameters and
-buffers of a module (plus arbitrary scalar metadata such as the epoch and the
-SMA restart count) in NumPy's portable ``.npz`` format.
-
-Two layers of API:
-
-* :func:`save_arrays` / :func:`load_arrays` — raw named-array archives with a
-  JSON metadata side channel; the :class:`~repro.serve.checkpoint.CheckpointStore`
-  spills evicted central-model snapshots through these.
-* :func:`save_checkpoint` / :func:`load_checkpoint` — the module-level
-  convenience wrappers that serialise a :class:`~repro.nn.module.Module`'s
-  ``state_dict``.
+:func:`save_arrays` / :func:`load_arrays` write and read named arrays (a
+module's ``state_dict``, say) with a JSON metadata side channel of scalars
+such as the epoch, in NumPy's portable ``.npz`` format.  The
+:class:`~repro.serve.checkpoint.CheckpointStore` spills evicted central-model
+snapshots through them.
 """
 
 from __future__ import annotations
@@ -24,7 +16,6 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import CheckpointError
-from repro.nn.module import Module
 
 _METADATA_KEY = "__metadata_json__"
 
@@ -95,33 +86,3 @@ def load_arrays(
             f"present keys: {sorted(metadata)}"
         )
     return arrays, metadata
-
-
-def save_checkpoint(
-    model: Module,
-    path: Union[str, Path],
-    metadata: Optional[Dict[str, float]] = None,
-) -> Path:
-    """Write the model's parameters, buffers and metadata to ``path`` (.npz).
-
-    Returns the path of the file NumPy actually wrote (``.npz`` appended
-    unless already present, even for multi-suffix names like ``ckpt.tmp``).
-    """
-    return save_arrays(path, dict(model.state_dict()), metadata)
-
-
-def load_checkpoint(
-    model: Module,
-    path: Union[str, Path],
-    required_metadata: Iterable[str] = (),
-) -> Tuple[Module, Dict[str, float]]:
-    """Load a checkpoint written by :func:`save_checkpoint` into ``model``.
-
-    Returns the model (for chaining) and the metadata dictionary.  When
-    ``required_metadata`` names keys the archive's metadata must contain,
-    their absence raises :class:`~repro.errors.CheckpointError` instead of
-    surfacing as a ``KeyError`` at the call site.
-    """
-    arrays, metadata = load_arrays(path, required_metadata=required_metadata)
-    model.load_state_dict(arrays)
-    return model, metadata

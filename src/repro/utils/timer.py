@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers for the experiment harness."""
+"""Wall-clock timing helper for ad-hoc measurements."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import time
 from typing import Dict, List, Optional
 
 
-class Timer:
+class Timer:  # repro: waive[R6] - documented API, docs/telemetry.md
     """A simple start/stop timer that accumulates named laps.
 
-    Used by the benchmark harness to report how long each sweep point took in
-    real (host) time, as opposed to the simulated time tracked by
-    :mod:`repro.gpusim`.
+    It measures real (host) time, as opposed to the simulated time tracked by
+    :mod:`repro.gpusim`, and :meth:`to_span` bridges its laps into telemetry
+    (``docs/telemetry.md``).
     """
 
     def __init__(self) -> None:

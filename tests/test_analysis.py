@@ -1,4 +1,4 @@
-"""Tests for the repro.analysis concurrency lint: rules, waivers, baseline, CLI.
+"""Tests for the repro.analysis project lint: rules, waivers, baseline, CLI.
 
 The per-rule fixtures under ``tests/fixtures/analysis`` are deliberately
 protocol-violating inputs; each test asserts the *exact* rule ids and line
@@ -10,6 +10,7 @@ invocation CI uses — and requires it to be clean.
 from __future__ import annotations
 
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from repro.analysis.core import (
     waived_rules_by_line,
     write_baseline,
 )
+from repro.analysis.surface import UnusedSurfaceRule
 from repro.errors import AnalysisError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
@@ -241,8 +243,201 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R2", "R3", "R4"):
+        for rule_id in ("R1", "R2", "R3", "R4", "R6"):
             assert rule_id in out
+
+
+# ------------------------------------------------------------------ R6 on small trees
+def _write_tree(root: Path, files: dict) -> None:
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+
+
+def _r6_names(root: Path, rule=None) -> list:
+    """Names R6 reports over ``root/src``, with ``root`` as the runner's root."""
+    report = analyze_paths([root / "src"], [rule or UnusedSurfaceRule()], root=root)
+    assert {v.rule for v in report.violations} <= {"R6"}
+    return sorted(v.message.split("'")[1] for v in report.violations)
+
+
+class TestR6UnusedSurface:
+    def test_reports_public_names_only_tests_use(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/pkg/mod.py": """
+                    def tested():
+                        pass
+
+                    def orphan():
+                        pass
+
+                    def _private():
+                        pass
+
+                    class Used:
+                        pass
+                """,
+                "src/repro/pkg/user.py": "from repro.pkg.mod import Used\n",
+                "src/elsewhere.py": "def outside_the_package():\n    pass\n",
+                "tests/test_mod.py": "from repro.pkg.mod import tested\n\ntested()\n",
+            },
+        )
+        assert _r6_names(tmp_path) == ["orphan", "tested"]
+
+    def test_tree_below_the_runners_root_reads_its_own_corpus(self, tmp_path):
+        _write_tree(
+            tmp_path / "checkout",
+            {
+                "src/repro/pkg/mod.py": "def served():\n    pass\n\ndef unserved():\n    pass\n",
+                "examples/demo.py": "from repro.pkg.mod import served\n",
+            },
+        )
+        rule = UnusedSurfaceRule()
+        report = analyze_paths([tmp_path / "checkout" / "src"], [rule], root=tmp_path)
+        assert [(v.path, v.line) for v in report.violations] == [
+            ("checkout/src/repro/pkg/mod.py", 4)
+        ]
+
+    def test_operator_library_and_package_inits_are_exempt(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/tensor/ops.py": "def gradchecked_only():\n    pass\n",
+                "src/repro/nn/layers.py": "class GradcheckedLayer:\n    pass\n",
+                "src/repro/pkg/__init__.py": "def package_helper():\n    pass\n",
+            },
+        )
+        assert _r6_names(tmp_path) == []
+
+    def test_name_attribute_import_and_quoted_annotation_are_uses(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/pkg/mod.py": """
+                    def by_name():
+                        pass
+
+                    def by_attribute():
+                        pass
+
+                    def by_import():
+                        pass
+
+                    class ByAnnotation:
+                        pass
+                """,
+                "src/run.py": "by_name()\n",
+                "benchmarks/bench.py": "from repro.pkg import mod\n\nmod.by_attribute()\n",
+                "examples/demo.py": "from repro.pkg.mod import by_import as renamed\n",
+                "tools/tool.py": 'def run(model: "ByAnnotation") -> None:\n    pass\n',
+            },
+        )
+        assert _r6_names(tmp_path) == []
+
+    def test_own_module_use_counts_outside_its_own_body(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/pkg/mod.py": """
+                    def helper():
+                        return 1
+
+                    VALUE = helper()
+
+                    def countdown(n):
+                        return countdown(n - 1) if n else 0
+                """,
+            },
+        )
+        assert _r6_names(tmp_path) == ["countdown"]
+
+    def test_init_reexport_is_not_a_use_but_a_call_there_is(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/pkg/mod.py": """
+                    def exported():
+                        pass
+
+                    def called():
+                        pass
+                """,
+                "src/repro/pkg/__init__.py": """
+                    from repro.pkg.mod import called, exported
+
+                    DEFAULT = called()
+                    __all__ = ["called", "exported"]
+                """,
+            },
+        )
+        assert _r6_names(tmp_path) == ["exported"]
+
+    def test_decorated_function_is_a_registration_but_a_decorated_class_is_not(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {
+                "src/repro/pkg/mod.py": """
+                    from dataclasses import dataclass
+
+                    REGISTRY = {}
+
+                    def register(function):
+                        REGISTRY[function.__name__] = function
+                        return function
+
+                    @register
+                    def registered():
+                        pass
+
+                    @dataclass
+                    class Record:
+                        value: int = 0
+                """,
+            },
+        )
+        assert _r6_names(tmp_path) == ["Record"]
+
+    def test_corpus_is_read_on_the_first_check(self, tmp_path):
+        rule = UnusedSurfaceRule()  # built before the tree exists, as default_rules() does
+        _write_tree(
+            tmp_path,
+            {"src/repro/pkg/mod.py": "def late():\n    pass\n", "tools/caller.py": "late()\n"},
+        )
+        assert _r6_names(tmp_path, rule) == []
+        (tmp_path / "tools" / "caller.py").unlink()
+        assert _r6_names(tmp_path, rule) == []  # the first check's corpus is kept
+        assert _r6_names(tmp_path) == ["late"]
+
+    def test_waiver_keeps_a_name_and_goes_unused_once_it_gains_a_caller(self, tmp_path):
+        waived = "def kept():  # repro: waive[R6] - documented API\n    pass\n"
+        _write_tree(tmp_path, {"src/repro/pkg/mod.py": waived})
+        report = analyze_paths([tmp_path / "src"], [UnusedSurfaceRule()], root=tmp_path)
+        assert (report.violations, report.waived, report.unused_waivers) == ([], 1, [])
+        _write_tree(tmp_path, {"examples/demo.py": "from repro.pkg.mod import kept\n"})
+        report = analyze_paths([tmp_path / "src"], [UnusedSurfaceRule()], root=tmp_path)
+        assert report.unused_waivers == [("src/repro/pkg/mod.py", 1, "R6")]
+
+    def test_real_tree_waives_exactly_the_kept_names(self):
+        """Every R6 waiver in src/ covers a real finding, and there are no others."""
+        rule = UnusedSurfaceRule()
+        found = set()
+        for path in iter_python_files([REPO_ROOT / "src"]):
+            source = path.read_text(encoding="utf-8").replace("repro: waive", "repro: kept")
+            display = path.relative_to(REPO_ROOT).as_posix()
+            report = analyze_source(source, [rule], display_path=display, root=REPO_ROOT)
+            found |= {v.message.split("'")[1] for v in report.violations}
+        assert found == {
+            "SGD",
+            "partition_batch",
+            "set_recorder",
+            "set_run_id",
+            "reset_run_id",
+            "autoscale_step",
+            "Timer",
+        }
 
 
 # ------------------------------------------------------------------ the real tree

@@ -272,3 +272,19 @@ class TestMemoryPlans:
 
         out = model(Tensor(np.zeros((2, 1, 1, 8), dtype=np.float32)))
         assert out.shape == (2, 3)
+
+    def test_forward_wrappers_are_removed_when_the_traced_forward_raises(self):
+        model = create_model("mlp", input_dim=8, num_classes=3, hidden_sizes=(4,))
+        leaves = [module for _, module in model.named_modules() if not module._modules]
+        with pytest.raises(ValueError):
+            operator_specs_from_forward(model, (1, 1, 5), batch_size=2)  # wrong input width
+        for module in leaves:
+            assert getattr(module.forward, "__func__", None) is type(module).forward
+
+    def test_resnet_specs_form_a_chain_of_leaf_operators(self):
+        model = create_model("resnet32-scaled", width_multiplier=0.25, blocks_per_stage=1)
+        specs = operator_specs_from_forward(model, (3, 16, 16), batch_size=2)
+        assert len(specs) == 29
+        assert specs[0].input_indices == ()
+        assert all(spec.input_indices == (i,) for i, spec in enumerate(specs[1:]))
+        assert all(spec.output_bytes > 0 for spec in specs)

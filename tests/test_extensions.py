@@ -1,16 +1,15 @@
-"""Extensions beyond the core path: A-SGD baseline, checkpointing, dataflow graphs."""
+"""Extensions beyond the core path: A-SGD baseline and named-array checkpoints."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.engine import offline_memory_plan, trace_dataflow
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.models import MLP, create_model
 from repro.optim import ASGD, SGD, StalenessModel
 from repro.utils.rng import RandomState
-from repro.utils.serialization import load_checkpoint, save_checkpoint
+from repro.utils.serialization import load_arrays, save_arrays
 
 rng = RandomState(55, name="extensions-tests")
 
@@ -81,11 +80,14 @@ class TestCheckpointing:
         model = create_model("resnet32-scaled", rng=RandomState(4))
         # Touch a batch-norm buffer so the checkpoint carries non-trivial state.
         next(iter(dict(model.named_buffers()).values()))[...] = 0.5
-        path = save_checkpoint(model, tmp_path / "ckpt.npz", metadata={"epoch": 7, "lr": 0.01})
+        path = save_arrays(
+            tmp_path / "ckpt.npz", model.state_dict(), metadata={"epoch": 7, "lr": 0.01}
+        )
 
         fresh = create_model("resnet32-scaled", rng=RandomState(9))
         assert not np.allclose(fresh.parameter_vector(), model.parameter_vector())
-        fresh, metadata = load_checkpoint(fresh, path)
+        arrays, metadata = load_arrays(path)
+        fresh.load_state_dict(arrays)
         np.testing.assert_allclose(fresh.parameter_vector(), model.parameter_vector())
         assert metadata == {"epoch": 7, "lr": 0.01}
         restored_buffer = next(iter(dict(fresh.named_buffers()).values()))
@@ -93,13 +95,13 @@ class TestCheckpointing:
 
     def test_checkpoint_without_metadata(self, tmp_path):
         model = MLP(input_dim=4, num_classes=2, hidden_sizes=(3,), rng=rng)
-        path = save_checkpoint(model, tmp_path / "plain.npz")
-        _, metadata = load_checkpoint(model, path)
+        path = save_arrays(tmp_path / "plain.npz", model.state_dict())
+        _, metadata = load_arrays(path)
         assert metadata == {}
 
     def test_checkpoint_resumes_training_identically(self, tmp_path):
         model = MLP(input_dim=6, num_classes=3, hidden_sizes=(5,), rng=RandomState(2))
-        save_checkpoint(model, tmp_path / "start.npz")
+        save_arrays(tmp_path / "start.npz", model.state_dict())
         data = rng.normal(size=(32, 6)).astype(np.float32)
         labels = rng.integers(0, 3, size=32)
 
@@ -118,7 +120,7 @@ class TestCheckpointing:
 
         first = train_steps(model)
         restored = MLP(input_dim=6, num_classes=3, hidden_sizes=(5,), rng=RandomState(8))
-        restored, _ = load_checkpoint(restored, tmp_path / "start.npz")
+        restored.load_state_dict(load_arrays(tmp_path / "start.npz")[0])
         second = train_steps(restored)
         np.testing.assert_allclose(first, second, atol=1e-5)
 
@@ -126,63 +128,31 @@ class TestCheckpointing:
         "name", ["ckpt", "ckpt.npz", "ckpt.tmp", "run.v1.tmp", ".npz"]
     )
     def test_returned_path_matches_written_file(self, tmp_path, name):
-        """save_checkpoint must return the exact file NumPy wrote, for any suffix."""
+        """save_arrays must return the exact file NumPy wrote, for any suffix."""
         model = MLP(input_dim=4, num_classes=2, hidden_sizes=(3,), rng=rng)
-        returned = save_checkpoint(model, tmp_path / name, metadata={"epoch": 1})
+        returned = save_arrays(tmp_path / name, model.state_dict(), metadata={"epoch": 1})
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == [returned.name]
         assert returned.exists()
         # And the bare (pre-normalisation) path loads back transparently.
-        _, metadata = load_checkpoint(model, tmp_path / name)
+        _, metadata = load_arrays(tmp_path / name)
         assert metadata == {"epoch": 1}
 
     def test_missing_metadata_key_raises_checkpoint_error(self, tmp_path):
-        from repro.errors import CheckpointError
-
         model = MLP(input_dim=4, num_classes=2, hidden_sizes=(3,), rng=rng)
-        path = save_checkpoint(model, tmp_path / "meta.npz", metadata={"epoch": 3})
-        _, metadata = load_checkpoint(model, path, required_metadata=("epoch",))
+        path = save_arrays(tmp_path / "meta.npz", model.state_dict(), metadata={"epoch": 3})
+        _, metadata = load_arrays(path, required_metadata=("epoch",))
         assert metadata["epoch"] == 3
         with pytest.raises(CheckpointError, match="sma_restarts"):
-            load_checkpoint(model, path, required_metadata=("epoch", "sma_restarts"))
+            load_arrays(path, required_metadata=("epoch", "sma_restarts"))
 
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
-        from repro.errors import CheckpointError
-
-        model = MLP(input_dim=4, num_classes=2, hidden_sizes=(3,), rng=rng)
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(model, tmp_path / "absent.npz")
+            load_arrays(tmp_path / "absent.npz")
 
+    def test_reserved_metadata_key_is_rejected(self, tmp_path):
+        arrays = {"w": np.zeros(2, dtype=np.float32), "__metadata_json__": np.zeros(1)}
+        with pytest.raises(CheckpointError, match="reserved"):
+            save_arrays(tmp_path / "clash.npz", arrays)
+        assert list(tmp_path.iterdir()) == []
 
-class TestDataflowGraph:
-    def test_trace_sequential_model(self):
-        model = MLP(input_dim=8, num_classes=3, hidden_sizes=(6,), rng=rng)
-        graph = trace_dataflow(model, (1, 1, 8), batch_size=2)
-        assert len(graph) >= 4  # flatten, hidden linear, relu, classifier linear
-        assert graph.total_output_bytes() > 0
-        counts = graph.count_by_type()
-        assert counts.get("Linear", 0) == 2
-
-    def test_trace_resnet_records_residual_adds_with_skip_inputs(self):
-        model = create_model("resnet32-scaled", width_multiplier=0.25, blocks_per_stage=1)
-        graph = trace_dataflow(model, (3, 16, 16), batch_size=2)
-        residual_nodes = [n for n in graph.nodes if n.op_type == "ResidualAdd"]
-        assert len(residual_nodes) == 3  # one basic block per stage
-        assert any(len(node.inputs) == 2 for node in residual_nodes)
-
-    def test_graph_feeds_memory_planner(self):
-        model = create_model("resnet32-scaled", width_multiplier=0.25, blocks_per_stage=1)
-        graph = trace_dataflow(model, (3, 16, 16), batch_size=4)
-        plan = offline_memory_plan(graph.to_operator_specs())
-        assert 0 < plan.peak_bytes <= graph.total_output_bytes()
-        assert graph.critical_path_bytes() == plan.peak_bytes
-
-    def test_trace_restores_the_model(self):
-        model = create_model("resnet32-scaled", width_multiplier=0.25, blocks_per_stage=1)
-        before = model.parameter_vector()
-        trace_dataflow(model, (3, 16, 16))
-        np.testing.assert_allclose(model.parameter_vector(), before)
-        from repro.tensor import Tensor
-
-        out = model(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
-        assert out.shape == (1, 10)

@@ -8,14 +8,15 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.gpusim import (
     Event,
     Gpu,
+    Interconnect,
     MultiGpuServer,
     Stream,
+    Topology,
     Tracer,
     cost_profile_for_model,
     hierarchical_reduce_time,
     learning_task_duration,
     local_sync_duration,
-    nvlink_topology,
     pcie_tree_topology,
     ring_allreduce_time,
     titan_x_server,
@@ -99,6 +100,15 @@ class TestTopologyAndCollectives:
         with pytest.raises(ConfigurationError):
             topo.link(0, 9)
 
+    def test_ring_bottleneck_is_the_slowest_tree_crossing(self):
+        bottlenecks = {g: pcie_tree_topology(g).ring_bottleneck().name for g in (1, 2, 4, 8)}
+        assert bottlenecks == {
+            1: "pcie-switch",
+            2: "pcie-switch",
+            4: "pcie-host-bridge",
+            8: "qpi",
+        }
+
     def test_allreduce_zero_for_single_gpu(self):
         assert ring_allreduce_time(1e6, pcie_tree_topology(1)) == 0.0
 
@@ -116,8 +126,10 @@ class TestTopologyAndCollectives:
         assert t2 < t8 < 3.5 * t2
 
     def test_nvlink_is_faster_than_pcie(self):
+        nvlink = Interconnect("nvlink", 40e9, 3e-6)
+        links = {(a, b): nvlink for a in range(8) for b in range(a + 1, 8)}
         payload = 97e6
-        assert ring_allreduce_time(payload, nvlink_topology(8)) < ring_allreduce_time(
+        assert ring_allreduce_time(payload, Topology(8, links)) < ring_allreduce_time(
             payload, pcie_tree_topology(8)
         )
 

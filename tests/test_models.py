@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.models import (
+    MODEL_REGISTRY,
     LeNet,
     MLP,
     create_model,
-    model_names,
     resnet32,
     resnet50,
     summarize_model,
@@ -91,7 +91,7 @@ class TestGradientLayout:
     """The gradient gather is a memcpy only if every ``.grad`` is C-contiguous."""
 
     def test_zoo_covers_every_registered_model(self):
-        assert set(_ZOO) == set(model_names())
+        assert set(_ZOO) == set(MODEL_REGISTRY.names())
 
     @pytest.mark.parametrize("name", sorted(_ZOO))
     def test_parameter_gradients_are_c_contiguous(self, name):
@@ -138,7 +138,7 @@ class TestTable1Sizes:
 
 class TestRegistry:
     def test_all_expected_models_registered(self):
-        names = model_names()
+        names = MODEL_REGISTRY.names()
         for expected in ("lenet", "resnet32", "resnet50", "vgg16", "mlp"):
             assert expected in names
             assert f"{expected}-scaled" in names or expected == "mlp"

@@ -13,7 +13,6 @@ from repro.optim import (
     ConstantSchedule,
     MultiStepSchedule,
     StepDecaySchedule,
-    WarmupSchedule,
     schedule_for_model,
 )
 from repro.optim.schedules import hyperparameters_for_model
@@ -141,12 +140,6 @@ class TestSchedules:
         assert schedule.rate(19) == pytest.approx(0.1)
         assert schedule.rate(20) == pytest.approx(0.05)
         assert schedule.rate(40) == pytest.approx(0.025)
-
-    def test_warmup_ramps_to_inner_schedule(self):
-        schedule = WarmupSchedule(ConstantSchedule(0.4), warmup_epochs=4)
-        assert schedule.rate(1) == pytest.approx(0.1)
-        assert schedule.rate(4) == pytest.approx(0.4)
-        assert schedule.rate(10) == pytest.approx(0.4)
 
     def test_changed_at_detects_boundaries(self):
         schedule = MultiStepSchedule(0.1, milestones=[5])

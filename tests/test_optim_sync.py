@@ -1,4 +1,4 @@
-"""SMA (Algorithm 1), EA-SGD and model-averaging utilities."""
+"""SMA (Algorithm 1) and EA-SGD."""
 
 from __future__ import annotations
 
@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optim import EASGD, EASGDConfig, SMA, SMAConfig, polyak_ruppert_average
-from repro.optim.averaging import RunningAverage, replica_variance
+from repro.optim import EASGD, EASGDConfig, SMA, SMAConfig
 from repro.utils.rng import RandomState
-
-rng = RandomState(17, name="sync-tests")
 
 
 def _quadratic_grad(w, target):
@@ -208,31 +205,30 @@ class TestEASGD:
         assert np.mean(sma_distances) < np.mean(easgd_distances)
 
 
-class TestAveragingUtilities:
-    def test_polyak_ruppert_average(self):
-        iterates = [np.array([float(i)], dtype=np.float32) for i in range(10)]
-        assert polyak_ruppert_average(iterates)[0] == pytest.approx(4.5)
-        assert polyak_ruppert_average(iterates, burn_in=5)[0] == pytest.approx(7.0)
+@pytest.mark.parametrize("algorithm", [SMA, EASGD], ids=["sma", "easgd"])
+def test_centre_fluctuates_less_than_any_replica(algorithm):
+    """§3.2: the central model averages out the replicas' gradient noise.
 
-    def test_polyak_ruppert_validation(self):
-        with pytest.raises(ConfigurationError):
-            polyak_ruppert_average([])
-        with pytest.raises(ConfigurationError):
-            polyak_ruppert_average([np.zeros(1)], burn_in=1)
-
-    def test_running_average_matches_batch_average(self):
-        values = [rng.normal(size=3).astype(np.float32) for _ in range(20)]
-        running = RunningAverage()
-        for value in values:
-            running.update(value)
-        np.testing.assert_allclose(running.value, np.mean(np.stack(values), axis=0), atol=1e-5)
-        assert running.count == 20
-
-    def test_running_average_empty_raises(self):
-        with pytest.raises(ConfigurationError):
-            RunningAverage().value
-
-    def test_replica_variance(self):
-        replicas = [np.zeros(3, dtype=np.float32), np.ones(3, dtype=np.float32)]
-        assert replica_variance(replicas) == pytest.approx(0.25)
-        assert replica_variance([np.zeros(3)]) == 0.0
+    k = 4 learners descend a quadratic with unit gradient noise; once they
+    hover around the optimum, every coordinate of the centre varies less
+    over time than the same coordinate of any replica.
+    """
+    k, size = 4, 256
+    sync = algorithm(np.zeros(size, dtype=np.float32), k)
+    replicas = [np.zeros(size, dtype=np.float32) for _ in range(k)]
+    noise = RandomState(5, name="fluctuation")
+    centres, banks = [], []
+    for step in range(600):
+        corrections = []
+        for j in range(k):
+            gradient = replicas[j] + noise.normal(size=size).astype(np.float32)
+            correction = sync.correction(replicas[j])
+            replicas[j] = replicas[j] - 0.05 * gradient - correction
+            corrections.append(correction)
+        sync.apply_corrections(corrections)
+        if step >= 200:
+            centres.append(sync.center.copy())
+            banks.append(np.stack(replicas))
+    centre_variance = np.stack(centres).var(axis=0).mean()
+    replica_variances = np.stack(banks).var(axis=0).mean(axis=1)
+    assert centre_variance < replica_variances.min()

@@ -17,8 +17,7 @@ from repro.errors import (
     SchedulingError,
     ShapeError,
 )
-from repro.utils import RandomState, Registry, Timer, get_logger, seed_everything, split_seed
-from repro.utils.rng import global_seed
+from repro.utils import RandomState, Registry, Timer, get_logger, split_seed
 
 
 class TestRandomState:
@@ -54,10 +53,6 @@ class TestRandomState:
         values = list(range(10))
         rng.shuffle(values)
         assert sorted(values) == list(range(10))
-
-    def test_seed_everything_records_global_seed(self):
-        seed_everything(123)
-        assert global_seed() == 123
 
 
 class TestRegistry:
