@@ -14,8 +14,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.engine import ModelReplica, ReplicaBank
+from repro.engine import ReplicaBank
 from repro.models import create_model
+from repro.nn.module import Module
 from repro.optim import SMA, SMAConfig
 from repro.utils.rng import RandomState
 
@@ -25,9 +26,9 @@ ITERATIONS = 30
 LEARNING_RATE = 0.1
 
 
-def _replicas(k: int) -> List[ModelReplica]:
+def _models(k: int) -> List[Module]:
     model = create_model(MODEL, rng=RandomState(7, name="bench-bank"))
-    return [ModelReplica(j, model.clone(), gpu_id=0, stream_id=j) for j in range(k)]
+    return [model.clone() for _ in range(k)]
 
 
 def _gradients(k: int, p: int) -> np.ndarray:
@@ -36,38 +37,38 @@ def _gradients(k: int, p: int) -> np.ndarray:
 
 
 def _run_per_learner_loop(k: int, iterations: int) -> Dict[str, object]:
-    """The seed trainer's hot path: vector() / correction / load_vector per learner."""
-    replicas = _replicas(k)
-    p = replicas[0].num_parameters()
-    center = replicas[0].vector()
+    """The seed trainer's hot path: flatten / correction / load per learner."""
+    models = _models(k)
+    p = models[0].num_parameters()
+    center = models[0].parameter_vector()
     sma = SMA(center, k, SMAConfig(momentum=0.9))
     gradients = _gradients(k, p)
     started = time.perf_counter()
     for _ in range(iterations):
         corrections: List[np.ndarray] = []
-        for j, replica in enumerate(replicas):
-            weights = replica.vector()
+        for j, model in enumerate(models):
+            weights = model.parameter_vector()
             scaled_gradient = LEARNING_RATE * gradients[j]
             correction = sma.correction(weights)
-            replica.load_vector(weights - (scaled_gradient + correction))
+            model.load_parameter_vector(weights - (scaled_gradient + correction))
             corrections.append(correction)
         sma.apply_corrections(corrections)
     elapsed = time.perf_counter() - started
     return {
         "seconds_per_iteration": elapsed / iterations,
-        "weights": np.stack([replica.vector() for replica in replicas]),
+        "weights": np.stack([model.parameter_vector() for model in models]),
         "center": sma.center.copy(),
     }
 
 
 def _run_fused_bank(k: int, iterations: int) -> Dict[str, object]:
     """The replica-bank path: one fused (k, P) matrix update per iteration."""
-    replicas = _replicas(k)
-    p = replicas[0].num_parameters()
-    center = replicas[0].vector()
+    models = _models(k)
+    p = models[0].num_parameters()
+    center = models[0].parameter_vector()
     bank = ReplicaBank(p, capacity=k)
-    for replica in replicas:
-        bank.attach(replica)
+    for model in models:
+        bank.attach(model)
     sma = SMA(center, k, SMAConfig(momentum=0.9))
     gradients = _gradients(k, p)
     updates = np.empty_like(gradients)

@@ -10,7 +10,7 @@ The public API is organised in layers:
   for the 8-GPU testbed used in the paper,
 * :mod:`repro.optim` — SMA (the paper's Algorithm 1), EA-SGD, the S-SGD
   baseline's update, SGD with momentum and learning-rate schedules,
-* :mod:`repro.engine` — the Crossbow task engine (learners, replica pools,
+* :mod:`repro.engine` — the Crossbow task engine (learners, the replica bank,
   task scheduler, auto-tuner, memory planner), whose one training loop also
   runs the S-SGD baseline,
 * :mod:`repro.experiments` — workload definitions and runners for every table

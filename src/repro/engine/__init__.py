@@ -4,8 +4,8 @@ This package is the paper's primary contribution: the system that trains many
 small-batch model replicas per GPU and keeps them synchronised with SMA while
 hiding the synchronisation cost behind learning tasks.
 
-* :class:`~repro.engine.crossbow.CrossbowTrainer` — the full system: learners,
-  replica pools, FCFS task scheduler with overlap, hierarchical SMA
+* :class:`~repro.engine.crossbow.CrossbowTrainer` — the full system: learners
+  over one replica bank, FCFS task scheduler with overlap, hierarchical SMA
   synchronisation, auto-tuned number of learners per GPU.  The same loop runs
   the TensorFlow-style parallel synchronous SGD baseline used throughout the
   evaluation, as ``CrossbowConfig(synchronisation="ssgd")``.
@@ -14,10 +14,10 @@ hiding the synchronisation cost behind learning tasks.
 """
 
 from repro.engine.metrics import EpochRecord, SyncCounters, TrainingMetrics, TrainingResult
-from repro.engine.replica import ModelReplica, ReplicaBank, ReplicaPool
+from repro.engine.replica import ReplicaBank
 from repro.engine.learner import Learner
 from repro.engine.tasks import GlobalSyncTask, LearningTask, LocalSyncTask, TaskKind
-from repro.engine.scheduler import IterationTiming, SchedulingPolicy, TaskScheduler
+from repro.engine.scheduler import IterationTiming, LearnerSlot, SchedulingPolicy, TaskScheduler
 from repro.engine.task_manager import TaskManager
 from repro.engine.autotuner import AutoTuner, AutoTunerDecision
 from repro.engine.executor import (
@@ -43,9 +43,7 @@ __all__ = [
     "SyncCounters",
     "TrainingMetrics",
     "TrainingResult",
-    "ModelReplica",
     "ReplicaBank",
-    "ReplicaPool",
     "Learner",
     "TaskKind",
     "LearningTask",
@@ -54,6 +52,7 @@ __all__ = [
     "SchedulingPolicy",
     "IterationTiming",
     "TaskScheduler",
+    "LearnerSlot",
     "TaskManager",
     "AutoTuner",
     "AutoTunerDecision",

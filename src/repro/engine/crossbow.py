@@ -31,8 +31,8 @@ from repro.engine.config import CrossbowConfig
 from repro.engine.executor import ProcessExecutor, SharedMatrix, SharedReplicaBank
 from repro.engine.learner import Learner, LearnerLanes, blas_threads, usable_cpus
 from repro.engine.metrics import EpochRecord, SyncCounters, TrainingMetrics, TrainingResult
-from repro.engine.replica import ModelReplica, ReplicaBank, ReplicaPool
-from repro.engine.scheduler import IterationTiming, SchedulingPolicy, TaskScheduler
+from repro.engine.replica import ReplicaBank
+from repro.engine.scheduler import IterationTiming, LearnerSlot, SchedulingPolicy, TaskScheduler
 from repro.engine.task_manager import TaskManager
 from repro.errors import ConfigurationError
 from repro.models import create_model
@@ -63,7 +63,7 @@ class _PendingIteration:
     """
 
     losses: np.ndarray
-    replicas: List["ModelReplica"]
+    slots: List[LearnerSlot]
     update_index: int
     staleness: int
 
@@ -71,20 +71,20 @@ class _PendingIteration:
 def _schedule_crossbow(
     scheduler: TaskScheduler,
     iteration: int,
-    replicas: List[ModelReplica],
+    slots: List[LearnerSlot],
     batch_size: int,
     synchronise: bool,
 ) -> IterationTiming:
     """Crossbow's task graph: FCFS learning tasks overlapping SMA's sync tasks."""
     return scheduler.schedule_iteration(
-        iteration=iteration, replicas=replicas, batch_size=batch_size, synchronise=synchronise
+        iteration=iteration, slots=slots, batch_size=batch_size, synchronise=synchronise
     )
 
 
 def _schedule_ssgd(
     scheduler: TaskScheduler,
     iteration: int,
-    replicas: List[ModelReplica],
+    slots: List[LearnerSlot],
     batch_size: int,
     synchronise: bool,
 ) -> IterationTiming:
@@ -240,14 +240,13 @@ class CrossbowTrainer:
             self._update_matrix_b = self._new_matrix(max_learners, num_parameters)
             self._shadow_matrix = self._new_matrix(max_learners, num_parameters)
         self._bind_executor_buffers()
-        self.replica_pool = ReplicaPool(bank=self.replica_bank)
         self.learners: List[Learner] = []
         for gpu in self.server.gpus:
             for _ in range(config.replicas_per_gpu):
                 self._add_learner_on_gpu(gpu.gpu_id, self.initial_model.clone())
 
         # Synchronisation algorithm ----------------------------------------------------------
-        self.synchroniser = self._build_synchroniser(len(self.learners))
+        self.synchroniser = self._build_synchroniser(self.initial_model.parameter_vector())
 
         # Auto-tuner ---------------------------------------------------------------------------
         self.autotuner = AutoTuner(
@@ -275,8 +274,9 @@ class CrossbowTrainer:
         self._last_eval_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------ construction helpers
-    def _build_synchroniser(self, num_replicas: int):
-        center = self.initial_model.parameter_vector()
+    def _build_synchroniser(self, center: np.ndarray):
+        """A synchroniser for the current learners, its central model at ``center``."""
+        num_replicas = len(self.learners)
         if self.config.synchronisation == "ssgd":
             return SSGD(center, num_replicas, self.momentum)
         if self.config.synchronisation == "easgd":
@@ -291,14 +291,10 @@ class CrossbowTrainer:
             SMAConfig(synchronisation_period=self.config.synchronisation_period),
         )
 
-    def _add_learner_on_gpu(self, gpu_id: int, model: Module) -> Learner:
-        gpu = self.server.gpu(gpu_id)
-        stream = gpu.add_learner_stream()
-        replica = self.replica_pool.add(model, gpu_id, stream.stream_id)
-        self.scheduler.register_replica(replica)
-        learner = Learner(len(self.learners), replica)
-        self.learners.append(learner)
-        return learner
+    def _add_learner_on_gpu(self, gpu_id: int, model: Module) -> None:
+        slot = self.scheduler.add_learner(gpu_id)
+        self.replica_bank.attach(model)
+        self.learners.append(Learner(model, slot))
 
     # ------------------------------------------------------------------------ training loop
     def train(self) -> TrainingResult:
@@ -468,7 +464,7 @@ class CrossbowTrainer:
                 step_losses = executor.collect_step()
                 self._pending = _PendingIteration(
                     losses=step_losses,
-                    replicas=[learner.replica for learner in self.learners],
+                    slots=[learner.slot for learner in self.learners],
                     update_index=update_index,
                     staleness=staleness,
                 )
@@ -501,7 +497,7 @@ class CrossbowTrainer:
         if pending is None:
             return
         self._pending = None
-        k = len(pending.replicas)
+        k = len(pending.slots)
         front = self._weight_buffer(self._published_index)[:k]
         updates = self._update_buffer(pending.update_index)[:k]
         # Depth 0 has no back buffer: the step moves the bank in place.
@@ -510,7 +506,7 @@ class CrossbowTrainer:
         self._finish_iteration(
             front,
             updates,
-            pending.replicas,
+            pending.slots,
             out=out,
             overlapped=overlapped,
             staleness=pending.staleness,
@@ -553,7 +549,7 @@ class CrossbowTrainer:
         self,
         weights: np.ndarray,
         updates: np.ndarray,
-        replicas: List[ModelReplica],
+        slots: List[LearnerSlot],
         out: Optional[np.ndarray] = None,
         overlapped: bool = False,
         staleness: int = 0,
@@ -572,7 +568,7 @@ class CrossbowTrainer:
         # scales the gradient rows in place (a write), the published weights are
         # read (pipelined) or stepped in place (depth 0), and the back buffer is
         # written.  Unregistered (serial-path) arrays resolve to no-op guards.
-        rows = range(len(replicas))
+        rows = range(len(slots))
         with contextlib.ExitStack() as guards:
             guards.enter_context(guard_for(updates).write_rows(rows))
             if out is None:
@@ -597,9 +593,9 @@ class CrossbowTrainer:
 
         # Hardware part: schedule the corresponding tasks on the simulated server.
         timing = self._schedule_tasks(
-            self.scheduler, self._iteration, replicas, self.config.batch_size, synchronise
+            self.scheduler, self._iteration, slots, self.config.batch_size, synchronise
         )
-        self.task_manager.handle_completion(timing, num_learning_tasks=len(replicas))
+        self.task_manager.handle_completion(timing, num_learning_tasks=len(slots))
         self._iteration += 1
 
     def _new_matrix(self, rows: int, cols: int) -> np.ndarray:
@@ -644,51 +640,28 @@ class CrossbowTrainer:
             self._shrink_learners()
 
     def _grow_learners(self) -> None:
-        """Add one learner per GPU, initialised from the central average model (§4.4).
-
-        The pool stays locked across the whole resize: checkouts are rejected
-        until every new learner is registered, and the lock is released exactly
-        once even if a mid-resize step raises.
-        """
+        """Add one learner per GPU, initialised from the central average model (§4.4)."""
         with get_recorder().span("autotuner.resize", direction="grow"):
             self._quiesce_for_resize()
             self.scheduler.barrier()
-            with self.replica_pool.locked():
-                center = np.array(self.synchroniser.center, copy=True)
-                for gpu in self.server.gpus:
-                    model = self.initial_model.clone()
-                    model.load_parameter_vector(center)
-                    self._add_learner_on_gpu(gpu.gpu_id, model)
+            center = np.array(self.synchroniser.center, copy=True)
+            for gpu in self.server.gpus:
+                model = self.initial_model.clone()
+                model.load_parameter_vector(center)
+                self._add_learner_on_gpu(gpu.gpu_id, model)
             self._finish_resize()
         logger.debug("auto-tuner: grew to %d learners per GPU", self.autotuner.learners_per_gpu)
 
     def _shrink_learners(self) -> None:
-        """Remove one learner per GPU (the most recently added one).
-
-        Removed replicas are deregistered from the task scheduler (so barriers
-        never iterate stale ready-time entries) and their GPU learner streams
-        are retired for reuse by a later grow, so grow/shrink oscillation
-        leaks neither scheduler state nor streams.
-        """
+        """Remove one learner per GPU: the one added last on it."""
         with get_recorder().span("autotuner.resize", direction="shrink"):
             self._quiesce_for_resize()
             self.scheduler.barrier()
-            removed: List[ModelReplica] = []
-            with self.replica_pool.locked():
-                for gpu in self.server.gpus:
-                    replica = self.replica_pool.remove_last_on_gpu(gpu.gpu_id)
-                    if replica is not None:
-                        removed.append(replica)
-            if removed:
-                removed_ids = {replica.replica_id for replica in removed}
-                self.learners = [
-                    learner
-                    for learner in self.learners
-                    if learner.replica.replica_id not in removed_ids
-                ]
-                for replica in removed:
-                    self.scheduler.deregister_replica(replica)
-                    self.server.gpu(replica.gpu_id).retire_learner_stream(replica.stream_id)
+            for gpu in self.server.gpus:
+                last = [each for each in self.learners if each.slot.gpu_id == gpu.gpu_id][-1]
+                self.learners.remove(last)
+                self.replica_bank.detach(last.model)
+                self.scheduler.remove_learner(last.slot)
             self._finish_resize()
         logger.debug("auto-tuner: shrank to %d learners per GPU", self.autotuner.learners_per_gpu)
 
@@ -710,34 +683,43 @@ class CrossbowTrainer:
             self._evaluation_service.drain()
 
     def _finish_resize(self) -> None:
-        """Re-pack the bank into learner order and rebuild the synchroniser.
+        """Steps 4 and 5 of a resize: re-pack the bank, then rebuild the synchroniser.
 
-        Under ``execution="process"`` the worker pool is then re-pointed in
-        place (persistent pool: surviving workers re-bind to their packed
-        rows, removed workers stop, added learners get fresh forks) — or
-        invalidated for a full respawn when the shared buffers were
-        reallocated (see :meth:`ProcessExecutor.resize`).
+        A resize runs on the trainer's thread between iterations, after
+        ``collect_step`` has joined every lane, so nothing else touches the
+        learners while they change.  Its five steps:
+
+        1. :meth:`_quiesce_for_resize` flushes a pipelined update and drains
+           off-path evaluations, then ``TaskScheduler.barrier()`` drains the
+           simulated tasks so no ready time predates the resize.
+        2. Grow: a model cloned from the central average model (§4.4) per
+           GPU, attached to the bank, with a slot from
+           ``TaskScheduler.add_learner``.  Shrink: the learner added last on
+           each GPU is dropped and its model detached from the bank.
+        3. Shrink: ``TaskScheduler.remove_learner`` forgets each removed
+           learner's ready time and retires its stream for a later grow.
+        4. ``ReplicaBank.pack`` re-packs the rows into learner order, so
+           ``active_matrix()`` stays a dense ``(k, P)`` prefix.
+        5. Under ``execution="process"`` the worker pool is re-pointed in
+           place (surviving workers re-bind to their packed rows, removed
+           workers stop, added learners get fresh forks) — or invalidated
+           for a full respawn when the shared buffers were reallocated (see
+           :meth:`ProcessExecutor.resize`).  Then the synchroniser is rebuilt
+           for the new ``k`` from the current central model, keeping its
+           iteration and restart counts.
         """
-        self.replica_bank.pack([learner.replica for learner in self.learners])
+        self.replica_bank.pack([learner.model for learner in self.learners])
         self._executor.resize(self.learners)
-        self._rebuild_synchroniser_preserving_center()
+        previous = self.synchroniser
+        self.synchroniser = self._build_synchroniser(previous.center)
+        self.synchroniser.iteration = previous.iteration
+        if isinstance(previous, SMA):
+            self.synchroniser.restarts = previous.restarts
         # The synchroniser object (and its version counter) was replaced, and
-        # the replica set changed; drop the cached central model outright.
+        # the learner set changed; drop the cached central model outright.
         self._central_cache = None
         self._central_cache_key = None
         self.task_manager.reset_window()
-
-    def _rebuild_synchroniser_preserving_center(self) -> None:
-        center = np.array(self.synchroniser.center, copy=True)
-        previous_iterations = self.synchroniser.iteration
-        previous_restarts = getattr(self.synchroniser, "restarts", 0)
-        self.synchroniser = self._build_synchroniser(len(self.learners))
-        self.synchroniser.center = center
-        if hasattr(self.synchroniser, "_previous_center"):
-            self.synchroniser._previous_center = center.copy()
-        self.synchroniser.iteration = previous_iterations
-        if hasattr(self.synchroniser, "restarts"):
-            self.synchroniser.restarts = previous_restarts
 
     # ------------------------------------------------------------------------ schedule / restart
     def _apply_schedule(self, epoch: int) -> None:
@@ -788,7 +770,7 @@ class CrossbowTrainer:
         self._executor.sync_buffers()
         model = self.initial_model.clone()
         model.load_parameter_vector(np.asarray(self.synchroniser.center))
-        replica_models = [learner.replica.model for learner in self.learners]
+        replica_models = [learner.model for learner in self.learners]
         if replica_models:
             target_buffers = dict(model.named_buffers())
             replica_buffers = [dict(m.named_buffers()) for m in replica_models]
@@ -854,9 +836,10 @@ class CrossbowTrainer:
         """Release worker processes and shared-memory segments (idempotent).
 
         Only meaningful under ``execution="process"``; a serial trainer holds
-        no external resources.  Closing detaches every replica from the bank
-        (models keep private copies of their weights), so the trainer stays
-        usable for evaluation — but not for further training.
+        no external resources.  Under process execution, closing detaches
+        every learner's model from the shared bank (each keeps a private copy
+        of its weights), so the trainer stays usable for evaluation — but not
+        for further training.
         """
         # Apply any pipelined in-flight update so the final central model and
         # bank state reflect every collected gradient.  The flush is

@@ -191,8 +191,8 @@ class SharedReplicaBank(ReplicaBank):
 
     def close(self) -> None:
         """Unlink every shared segment this bank ever allocated."""
-        for replica in list(self._owners):
-            self.detach(replica)
+        for model in list(self._owners):
+            self.detach(model)
         self._matrix = np.zeros((0, self.num_parameters), dtype=np.float32)
         for segment in self._segments:
             segment.close()
@@ -255,7 +255,7 @@ def _worker_main(state: _WorkerState) -> None:
                 row = state.index
                 if weights_index != bound:
                     # Adopt the addressed buffer's values; never write to it.
-                    learner.replica.model.attach_parameter_storage(
+                    learner.model.attach_parameter_storage(
                         state.weight_matrices[weights_index][row], copy=False
                     )
                     bound = weights_index
@@ -274,7 +274,7 @@ def _worker_main(state: _WorkerState) -> None:
             if op == "buffers":
                 buffers = {
                     name: np.array(value, copy=True)
-                    for name, value in learner.replica.model.named_buffers()
+                    for name, value in learner.model.named_buffers()
                 }
                 state.results.put((state.index, buffers, None))
                 continue
@@ -282,7 +282,7 @@ def _worker_main(state: _WorkerState) -> None:
                 _, state.index = command
                 # The parent flushed any pipelined back buffer and re-packed
                 # the bank before re-sharding, so the bank row is the truth.
-                learner.replica.model.attach_parameter_storage(
+                learner.model.attach_parameter_storage(
                     state.weight_matrices[0][state.index], copy=False
                 )
                 bound = 0
@@ -521,7 +521,7 @@ class WorkerPool(ForkedWorkerPool):
             results=self._results,
         )
         process = self._fork(
-            _worker_main, state, name=f"learner-worker-{learner.learner_id}"
+            _worker_main, state, name=f"learner-worker-{learner.slot.learner_id}"
         )
         return _WorkerHandle(process=process, commands=commands, learner=learner)
 
@@ -822,7 +822,7 @@ class ProcessExecutor(EpochDraw):
         for learner, buffers in zip(self._pool.learners, gathered):
             if not buffers:
                 continue
-            for name, value in learner.replica.model.named_buffers():
+            for name, value in learner.model.named_buffers():
                 value[...] = buffers[name]
 
     # -- lifecycle -------------------------------------------------------------------------

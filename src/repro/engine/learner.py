@@ -24,30 +24,21 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.batching import Batch, BatchPipeline
-from repro.engine.replica import ModelReplica, ReplicaBank
+from repro.engine.replica import ReplicaBank
+from repro.engine.scheduler import LearnerSlot
 from repro.errors import SchedulingError
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.metrics import accuracy
-from repro.tensor.tensor import Tensor, no_grad
+from repro.nn.module import Module
+from repro.tensor.tensor import Tensor
 
 
 class Learner:
-    """Trains a single model replica with a given batch size."""
+    """One learner: its model replica and the slot the scheduler gave it."""
 
-    def __init__(self, learner_id: int, replica: ModelReplica) -> None:
-        self.learner_id = learner_id
-        self.replica = replica
+    def __init__(self, model: Module, slot: LearnerSlot) -> None:
+        self.model: Module = model
+        self.slot: LearnerSlot = slot
         self.loss_fn = CrossEntropyLoss()
-        self.batches_processed = 0
-        self.last_loss: Optional[float] = None
-
-    @property
-    def gpu_id(self) -> int:
-        return self.replica.gpu_id
-
-    @property
-    def stream_id(self) -> int:
-        return self.replica.stream_id
 
     def compute_gradient(
         self, batch: Batch, out: Optional[np.ndarray] = None
@@ -59,28 +50,13 @@ class Learner:
         ``out`` gathers the gradient into a pre-allocated row of the trainer's
         ``(k, P)`` gradient matrix instead of allocating a fresh vector.
         """
-        model = self.replica.model
+        model = self.model
         model.train(True)
         model.zero_grad()
         logits = model(Tensor(batch.images))
         loss = self.loss_fn(logits, batch.labels)
         loss.backward()
-        gradient = model.gradient_vector(out=out)
-        self.batches_processed += 1
-        self.last_loss = float(loss.data)
-        return gradient, self.last_loss
-
-    def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy of the replica on the given evaluation data."""
-        model = self.replica.model
-        model.eval()
-        with no_grad():
-            logits = model(Tensor(images))
-        model.train(True)
-        return accuracy(logits, labels)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Learner(id={self.learner_id}, replica={self.replica.replica_id}, gpu={self.gpu_id})"
+        return model.gradient_vector(out=out), float(loss.data)
 
 
 # ------------------------------------------------------------------------------ lanes

@@ -192,6 +192,7 @@ def operator_specs_from_forward(
     ]
 
     originals = {}
+    was_training = model.training
     try:
         for name, module in leaf_modules:
             originals[name] = module.forward
@@ -205,15 +206,17 @@ def operator_specs_from_forward(
             object.__setattr__(module, "forward", wrapped)
 
         dummy = Tensor(np.zeros((batch_size, *input_shape), dtype=np.float32))
-        was_training = model.training
         model.eval()
         with no_grad():
             model(dummy)
-        model.train(was_training)
     finally:
+        # Leave the model as it was found, even when the forward raised:
+        # in its training mode, and with no instance attribute shadowing
+        # its class's ``forward``.
+        model.train(was_training)
         for name, module in leaf_modules:
             if name in originals:
-                object.__setattr__(module, "forward", originals[name])
+                object.__delattr__(module, "forward")
 
     specs: List[OperatorSpec] = []
     for index, (name, size) in enumerate(records):

@@ -3,9 +3,9 @@
 Two scheduling policies are implemented (§4.3):
 
 ``FCFS_OVERLAP`` (Crossbow)
-    Learning tasks are issued to whichever learner stream/replica is available
-    first.  Synchronisation tasks of iteration N overlap with learning tasks of
-    iteration N+1: a replica's next learning task only waits for that replica's
+    Learning tasks are issued to whichever learner stream is available first.
+    Synchronisation tasks of iteration N overlap with learning tasks of
+    iteration N+1: a learner's next learning task only waits for that learner's
     own local synchronisation task, and local synchronisation tasks only wait
     for the previous iteration's global synchronisation on their GPU.
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import SchedulingError
-from repro.engine.replica import ModelReplica
 from repro.engine.tasks import GlobalSyncTask, IterationTasks, LearningTask, LocalSyncTask
 from repro.gpusim.costmodel import (
     TaskCostProfile,
@@ -47,6 +46,14 @@ _SCHEDULER_OVERHEAD = {
     SchedulingPolicy.FCFS_OVERLAP: 0.15e-3,
     SchedulingPolicy.LOCKSTEP: 0.7e-3,
 }
+
+
+class LearnerSlot(NamedTuple):
+    """Where one learner runs: its id, its GPU and its learner stream on that GPU."""
+
+    learner_id: int
+    gpu_id: int
+    stream_id: int
 
 
 @dataclass
@@ -74,10 +81,11 @@ class TaskScheduler:
     policy: SchedulingPolicy = SchedulingPolicy.FCFS_OVERLAP
     keep_task_records: bool = False
 
-    _replica_ready: Dict[int, float] = field(default_factory=dict)
+    _learner_ready: Dict[int, float] = field(default_factory=dict)
     _gpu_average_ready: Dict[int, float] = field(default_factory=dict)
     _barrier: float = 0.0
     _next_task_id: int = 0
+    _next_learner_id: int = 0
     iteration_history: List[IterationTasks] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -89,28 +97,31 @@ class TaskScheduler:
         self._next_task_id += 1
         return self._next_task_id
 
-    def register_replica(self, replica: ModelReplica, ready_time: Optional[float] = None) -> None:
-        """Make a replica known to the scheduler (e.g. when the auto-tuner adds one)."""
-        self._replica_ready[replica.replica_id] = (
-            ready_time if ready_time is not None else self.now()
-        )
+    def add_learner(self, gpu_id: int) -> LearnerSlot:
+        """Give a new learner on ``gpu_id`` an id and a learner stream; it is ready now.
 
-    def deregister_replica(self, replica) -> None:
-        """Forget a replica removed by the auto-tuner (accepts a replica or its id).
-
-        Without this, :meth:`barrier` keeps iterating stale ready-time entries
-        for every replica the auto-tuner ever removed.  This is step 3 of the
-        resize lifecycle documented on
-        :meth:`repro.engine.replica.ReplicaPool.locked`: it runs after the
-        pool-locked add/remove and before the bank is re-packed, paired with
-        retiring the replica's GPU learner stream for reuse by a later grow.
+        Ids come from a counter and are never reused, so a task name
+        ``learn[i=…,r=<id>]`` names one learner over the whole run.
         """
-        replica_id = replica.replica_id if isinstance(replica, ModelReplica) else int(replica)
-        self._replica_ready.pop(replica_id, None)
+        stream = self.server.gpu(gpu_id).add_learner_stream()
+        slot = LearnerSlot(self._next_learner_id, gpu_id, stream.stream_id)
+        self._next_learner_id += 1
+        self._learner_ready[slot.learner_id] = self.now()
+        return slot
 
-    def registered_replica_ids(self) -> List[int]:
-        """Ids of every replica the scheduler currently tracks (for tests/inspection)."""
-        return sorted(self._replica_ready)
+    def remove_learner(self, slot: LearnerSlot) -> None:
+        """Forget a learner the auto-tuner removed and retire its stream for reuse.
+
+        Without this, :meth:`barrier` keeps updating the ready time of every
+        learner ever removed, and grow/shrink oscillation leaks a stream per
+        cycle.
+        """
+        self._learner_ready.pop(slot.learner_id, None)
+        self.server.gpu(slot.gpu_id).retire_learner_stream(slot.stream_id)
+
+    def registered_learner_ids(self) -> List[int]:
+        """Ids of every learner the scheduler currently tracks."""
+        return sorted(self._learner_ready)
 
     def now(self) -> float:
         return self.server.now()
@@ -118,8 +129,8 @@ class TaskScheduler:
     def barrier(self) -> float:
         """Insert a global execution barrier (used by the auto-tuner when resizing)."""
         self._barrier = self.now()
-        for replica_id in self._replica_ready:
-            self._replica_ready[replica_id] = max(self._replica_ready[replica_id], self._barrier)
+        for learner_id in self._learner_ready:
+            self._learner_ready[learner_id] = max(self._learner_ready[learner_id], self._barrier)
         for gpu_id in self._gpu_average_ready:
             self._gpu_average_ready[gpu_id] = max(self._gpu_average_ready[gpu_id], self._barrier)
         return self._barrier
@@ -128,49 +139,49 @@ class TaskScheduler:
     def schedule_iteration(
         self,
         iteration: int,
-        replicas: Sequence[ModelReplica],
+        slots: Sequence[LearnerSlot],
         batch_size: int,
         synchronise: bool = True,
         payload_bytes: Optional[int] = None,
     ) -> IterationTiming:
         """Schedule the tasks of one iteration and return its simulated timing.
 
-        ``replicas`` are the replicas taking part in this iteration (one
+        ``slots`` are the learners taking part in this iteration (one
         learning task each).  ``synchronise`` is False when the synchronisation
         period τ > 1 and this iteration skips the global exchange.
         """
-        if not replicas:
-            raise SchedulingError("cannot schedule an iteration with no replicas")
+        if not slots:
+            raise SchedulingError("cannot schedule an iteration with no learners")
         payload_bytes = (
             payload_bytes if payload_bytes is not None else self.profile.parameter_bytes
         )
         overhead = _SCHEDULER_OVERHEAD[self.policy]
 
         per_gpu_counts: Dict[int, int] = {}
-        for replica in replicas:
-            per_gpu_counts[replica.gpu_id] = per_gpu_counts.get(replica.gpu_id, 0) + 1
+        for slot in slots:
+            per_gpu_counts[slot.gpu_id] = per_gpu_counts.get(slot.gpu_id, 0) + 1
 
         learning_records: List[LearningTask] = []
         local_records: List[LocalSyncTask] = []
         local_end_times: List[float] = []
         iteration_start = float("inf")
 
-        for replica in replicas:
-            gpu = self.server.gpu(replica.gpu_id)
-            stream = gpu.streams.get(replica.stream_id)
+        for slot in slots:
+            gpu = self.server.gpu(slot.gpu_id)
+            stream = gpu.streams.get(slot.stream_id)
             if stream is None:
                 raise SchedulingError(
-                    f"replica {replica.replica_id} refers to missing stream {replica.stream_id}"
+                    f"learner {slot.learner_id} refers to missing stream {slot.stream_id}"
                 )
-            concurrent = per_gpu_counts[replica.gpu_id]
+            concurrent = per_gpu_counts[slot.gpu_id]
 
             copy_record = self.server.schedule_input_transfer(
-                replica.gpu_id, self.profile, batch_size, dependencies=[self._barrier]
+                slot.gpu_id, self.profile, batch_size, dependencies=[self._barrier]
             )
 
             learn_deps = [
                 copy_record.end,
-                self._replica_ready.get(replica.replica_id, 0.0),
+                self._learner_ready.get(slot.learner_id, 0.0),
                 self._barrier,
             ]
             if self.policy is SchedulingPolicy.LOCKSTEP:
@@ -181,9 +192,9 @@ class TaskScheduler:
                 self.profile, batch_size, concurrent, scheduler_overhead_s=overhead
             )
             learn_record = self.server.schedule_task(
-                replica.gpu_id,
+                slot.gpu_id,
                 stream,
-                name=f"learn[i={iteration},r={replica.replica_id}]",
+                name=f"learn[i={iteration},r={slot.learner_id}]",
                 duration=duration,
                 dependencies=learn_deps,
                 kind="learning",
@@ -193,9 +204,9 @@ class TaskScheduler:
                 LearningTask(
                     task_id=self._task_id(),
                     iteration=iteration,
-                    replica_id=replica.replica_id,
-                    gpu_id=replica.gpu_id,
-                    stream_id=replica.stream_id,
+                    replica_id=slot.learner_id,
+                    gpu_id=slot.gpu_id,
+                    stream_id=slot.stream_id,
                     batch_index=-1,
                     batch_size=batch_size,
                     start=learn_record.start,
@@ -206,12 +217,12 @@ class TaskScheduler:
             # Local synchronisation: replica difference against the GPU-local
             # average model.  Depends on the learning task and on the previous
             # iteration's global synchronisation for this GPU.
-            local_deps = [learn_record.end, self._gpu_average_ready[replica.gpu_id]]
+            local_deps = [learn_record.end, self._gpu_average_ready[slot.gpu_id]]
             local_duration = local_sync_duration(self.profile, concurrent)
             local_record = self.server.schedule_task(
-                replica.gpu_id,
+                slot.gpu_id,
                 stream,
-                name=f"local-sync[i={iteration},r={replica.replica_id}]",
+                name=f"local-sync[i={iteration},r={slot.learner_id}]",
                 duration=local_duration,
                 dependencies=local_deps,
                 kind="local_sync",
@@ -220,17 +231,17 @@ class TaskScheduler:
                 LocalSyncTask(
                     task_id=self._task_id(),
                     iteration=iteration,
-                    replica_id=replica.replica_id,
-                    gpu_id=replica.gpu_id,
-                    stream_id=replica.stream_id,
+                    replica_id=slot.learner_id,
+                    gpu_id=slot.gpu_id,
+                    stream_id=slot.stream_id,
                     start=local_record.start,
                     end=local_record.end,
                 )
             )
             local_end_times.append(local_record.end)
-            # The replica is free for its next learning task as soon as its own
+            # The learner is free for its next learning task as soon as its own
             # local synchronisation finished (overlap with the global sync).
-            self._replica_ready[replica.replica_id] = local_record.end
+            self._learner_ready[slot.learner_id] = local_record.end
 
         learning_end = max(task.end for task in learning_records)
 
@@ -279,7 +290,7 @@ class TaskScheduler:
             end=max(sync_end, learning_end),
             learning_end=learning_end,
             sync_end=sync_end,
-            samples=batch_size * len(replicas),
+            samples=batch_size * len(slots),
         )
 
     # -- S-SGD style iteration (used by the baseline trainer) ------------------------------

@@ -1,11 +1,12 @@
 """The task manager: handles task-completion events and tracks throughput.
 
-In the real system the task manager runs on multiple CPU threads, handles GPU
-completion events, returns replicas and learner streams to their pools and
-frees input-batch slots (§4.1 step 4).  In the simulation those hand-offs are
-synchronous, so the task manager's externally visible role is bookkeeping: it
-records completed iterations and exposes the rate at which learning tasks
-complete, which is precisely the signal the auto-tuner consumes (§4.4).
+In the paper's system the task manager runs on multiple CPU threads, handles
+GPU completion events, hands each replica and learner stream to the next
+learning task and frees input-batch slots (§4.1 step 4).  Here every
+iteration runs every learner, so nothing changes hands, and the task
+manager's externally visible role is bookkeeping: it records completed
+iterations and exposes the rate at which learning tasks complete, which is
+precisely the signal the auto-tuner consumes (§4.4).
 """
 
 from __future__ import annotations

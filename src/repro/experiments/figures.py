@@ -517,28 +517,14 @@ def run_fig17_sync_overhead(
             scheduler = TaskScheduler(
                 server=server, profile=profile, policy=SchedulingPolicy.FCFS_OVERLAP
             )
-
-            class _StubReplica:
-                """Minimal stand-in carrying the ids the scheduler needs."""
-
-                def __init__(self, replica_id: int, gpu_id: int, stream_id: int) -> None:
-                    self.replica_id = replica_id
-                    self.gpu_id = gpu_id
-                    self.stream_id = stream_id
-
-            stubs = []
-            for gpu in server.gpus:
-                for _ in range(replicas):
-                    stream = gpu.add_learner_stream()
-                    stub = _StubReplica(len(stubs), gpu.gpu_id, stream.stream_id)
-                    scheduler.register_replica(stub)
-                    stubs.append(stub)
-
+            slots = [
+                scheduler.add_learner(gpu.gpu_id) for gpu in server.gpus for _ in range(replicas)
+            ]
             samples = 0
             for iteration in range(iterations):
                 synchronise = period is not None and (iteration + 1) % period == 0
                 timing = scheduler.schedule_iteration(
-                    iteration, stubs, batch_size, synchronise=synchronise
+                    iteration, slots, batch_size, synchronise=synchronise
                 )
                 samples += timing.samples
             elapsed = server.now()
@@ -571,23 +557,14 @@ def run_ablation_scheduler(
     for policy in (SchedulingPolicy.FCFS_OVERLAP, SchedulingPolicy.LOCKSTEP):
         server = titan_x_server(num_gpus)
         scheduler = TaskScheduler(server=server, profile=profile, policy=policy)
-
-        class _StubReplica:
-            def __init__(self, replica_id: int, gpu_id: int, stream_id: int) -> None:
-                self.replica_id = replica_id
-                self.gpu_id = gpu_id
-                self.stream_id = stream_id
-
-        stubs = []
-        for gpu in server.gpus:
-            for _ in range(replicas_per_gpu):
-                stream = gpu.add_learner_stream()
-                stub = _StubReplica(len(stubs), gpu.gpu_id, stream.stream_id)
-                scheduler.register_replica(stub)
-                stubs.append(stub)
+        slots = [
+            scheduler.add_learner(gpu.gpu_id)
+            for gpu in server.gpus
+            for _ in range(replicas_per_gpu)
+        ]
         samples = 0
         for iteration in range(iterations):
-            timing = scheduler.schedule_iteration(iteration, stubs, batch_size, synchronise=True)
+            timing = scheduler.schedule_iteration(iteration, slots, batch_size, synchronise=True)
             samples += timing.samples
         elapsed = server.now()
         rows.append(

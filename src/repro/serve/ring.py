@@ -1,8 +1,8 @@
 """One shared-memory slot ring and the forked pool lifecycle that serves it.
 
-Crossbow runs every learner stream through one replica pool and one task
-manager (§4.1–§4.3): many replicas, one mechanism.  The serving plane follows
-suit.  Both of its worker pools — checkpoint evaluation
+Crossbow runs every learner stream through one task manager (§4.1–§4.3):
+many replicas, one mechanism.  The serving plane follows suit.  Both of its
+worker pools — checkpoint evaluation
 (:class:`repro.serve.pool.EvaluatorPool`) and request inference
 (:class:`repro.serve.scaling.InferencePool`) — are *payload adapters* over
 the two classes here; they differ only in what a slot carries and what a

@@ -1,4 +1,4 @@
-"""Engine components: replica pool, task manager, auto-tuner, metrics, memory plans."""
+"""Engine components: task manager, auto-tuner, metrics, memory plans."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from repro.engine import (
     AutoTuner,
     AutoTunerDecision,
     EpochRecord,
-    ModelReplica,
     OperatorSpec,
-    ReplicaPool,
     TaskManager,
     TrainingMetrics,
     naive_memory_plan,
@@ -20,77 +18,8 @@ from repro.engine import (
     operator_specs_from_forward,
 )
 from repro.engine.scheduler import IterationTiming
-from repro.errors import MemoryPlanError, SchedulingError
-from repro.models import MLP, create_model
-from repro.utils.rng import RandomState
-
-rng = RandomState(41, name="engine-tests")
-
-
-def _model():
-    return MLP(input_dim=8, num_classes=3, hidden_sizes=(4,), rng=rng)
-
-
-class TestReplicaPool:
-    def test_add_acquire_release_cycle(self):
-        pool = ReplicaPool()
-        replica = pool.add(_model(), gpu_id=0, stream_id=2)
-        assert len(pool) == 1
-        acquired = pool.acquire()
-        assert acquired is replica
-        assert pool.available_count() == 0
-        pool.release(acquired)
-        assert pool.available_count() == 1
-
-    def test_acquire_respects_gpu_affinity(self):
-        pool = ReplicaPool()
-        pool.add(_model(), gpu_id=0, stream_id=1)
-        on_gpu1 = pool.add(_model(), gpu_id=1, stream_id=1)
-        assert pool.acquire(gpu_id=1) is on_gpu1
-
-    def test_acquire_empty_pool_raises(self):
-        pool = ReplicaPool()
-        with pytest.raises(SchedulingError):
-            pool.acquire()
-
-    def test_release_foreign_replica_raises(self):
-        pool = ReplicaPool()
-        foreign = ModelReplica(99, _model(), 0, 0)
-        with pytest.raises(SchedulingError):
-            pool.release(foreign)
-
-    def test_double_release_raises(self):
-        pool = ReplicaPool()
-        replica = pool.add(_model(), 0, 0)
-        acquired = pool.acquire()
-        pool.release(acquired)
-        with pytest.raises(SchedulingError):
-            pool.release(replica)
-
-    def test_locked_pool_rejects_mutation(self):
-        pool = ReplicaPool()
-        pool.add(_model(), 0, 0)
-        pool.lock()
-        with pytest.raises(SchedulingError):
-            pool.acquire()
-        with pytest.raises(SchedulingError):
-            pool.add(_model(), 0, 1)
-        pool.unlock()
-        pool.acquire()
-
-    def test_remove_last_on_gpu(self):
-        pool = ReplicaPool()
-        pool.add(_model(), 0, 0)
-        last = pool.add(_model(), 0, 1)
-        removed = pool.remove_last_on_gpu(0)
-        assert removed.replica_id == last.replica_id
-        assert pool.remove_last_on_gpu(3) is None
-
-    def test_replica_vector_round_trip(self):
-        replica = ModelReplica(0, _model(), 0, 0)
-        vector = replica.vector()
-        replica.load_vector(vector * 2.0)
-        np.testing.assert_allclose(replica.vector(), vector * 2.0, rtol=1e-6)
+from repro.errors import MemoryPlanError
+from repro.models import create_model
 
 
 class TestTaskManager:
@@ -280,6 +209,25 @@ class TestMemoryPlans:
             operator_specs_from_forward(model, (1, 1, 5), batch_size=2)  # wrong input width
         for module in leaves:
             assert getattr(module.forward, "__func__", None) is type(module).forward
+
+    def test_training_mode_is_restored_when_the_traced_forward_raises(self):
+        model = create_model("mlp", input_dim=8, num_classes=3, hidden_sizes=(4,))
+        assert model.training
+        with pytest.raises(ValueError):
+            operator_specs_from_forward(model, (1, 1, 5), batch_size=2)  # wrong input width
+        assert model.training
+        model.eval()
+        with pytest.raises(ValueError):
+            operator_specs_from_forward(model, (1, 1, 5), batch_size=2)
+        assert not model.training
+
+    def test_no_leaf_keeps_an_instance_forward(self):
+        model = create_model("mlp", input_dim=8, num_classes=3, hidden_sizes=(4,))
+        leaves = [module for _, module in model.named_modules() if not module._modules]
+        operator_specs_from_forward(model, (1, 1, 8), batch_size=2)
+        with pytest.raises(ValueError):
+            operator_specs_from_forward(model, (1, 1, 5), batch_size=2)
+        assert [module for module in leaves if "forward" in vars(module)] == []
 
     def test_resnet_specs_form_a_chain_of_leaf_operators(self):
         model = create_model("resnet32-scaled", width_multiplier=0.25, blocks_per_stage=1)

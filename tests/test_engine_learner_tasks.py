@@ -10,8 +10,8 @@ from repro.engine import (
     GlobalSyncTask,
     LearningTask,
     Learner,
+    LearnerSlot,
     LocalSyncTask,
-    ModelReplica,
     TaskKind,
     TrainingMetrics,
     TrainingResult,
@@ -26,8 +26,7 @@ rng = RandomState(77, name="learner-tests")
 
 def _learner():
     model = MLP(input_dim=8, num_classes=3, hidden_sizes=(6,), rng=rng)
-    replica = ModelReplica(0, model, gpu_id=0, stream_id=2)
-    return Learner(0, replica)
+    return Learner(model, LearnerSlot(learner_id=0, gpu_id=0, stream_id=2))
 
 
 def _batch(size=16):
@@ -40,38 +39,28 @@ class TestLearner:
     def test_compute_gradient_returns_flat_vector_and_loss(self):
         learner = _learner()
         gradient, loss = learner.compute_gradient(_batch())
-        assert gradient.shape == (learner.replica.num_parameters(),)
+        assert gradient.shape == (learner.model.num_parameters(),)
         assert np.isfinite(gradient).all()
         assert loss > 0
-        assert learner.batches_processed == 1
-        assert learner.last_loss == loss
 
     def test_compute_gradient_does_not_modify_weights(self):
         learner = _learner()
-        before = learner.replica.vector().copy()
+        before = learner.model.parameter_vector()
         learner.compute_gradient(_batch())
-        np.testing.assert_allclose(learner.replica.vector(), before)
+        np.testing.assert_allclose(learner.model.parameter_vector(), before)
 
     def test_gradient_descends_the_loss(self):
         learner = _learner()
         batch = _batch(32)
         gradient, loss_before = learner.compute_gradient(batch)
-        learner.replica.load_vector(learner.replica.vector() - 0.1 * gradient)
+        learner.model.load_parameter_vector(learner.model.parameter_vector() - 0.1 * gradient)
         _, loss_after = learner.compute_gradient(batch)
         assert loss_after < loss_before
 
-    def test_evaluate_returns_probability(self):
-        learner = _learner()
-        batch = _batch(20)
-        acc = learner.evaluate(batch.images, batch.labels)
-        assert 0.0 <= acc <= 1.0
-        # Evaluation must leave the model back in training mode.
-        assert learner.replica.model.training
-
     def test_learner_exposes_gpu_and_stream(self):
         learner = _learner()
-        assert learner.gpu_id == 0
-        assert learner.stream_id == 2
+        assert learner.slot.gpu_id == 0
+        assert learner.slot.stream_id == 2
 
 
 class TestTaskDescriptors:

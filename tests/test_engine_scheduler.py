@@ -4,18 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import SchedulingPolicy, TaskScheduler
+from repro.engine import LearnerSlot, SchedulingPolicy, TaskScheduler
 from repro.errors import SchedulingError
 from repro.gpusim import cost_profile_for_model, titan_x_server
-
-
-class _StubReplica:
-    """Carries just the identifiers the scheduler needs."""
-
-    def __init__(self, replica_id, gpu_id, stream_id):
-        self.replica_id = replica_id
-        self.gpu_id = gpu_id
-        self.stream_id = stream_id
 
 
 def _build(num_gpus=2, replicas_per_gpu=2, model="resnet32", policy=SchedulingPolicy.FCFS_OVERLAP):
@@ -26,14 +17,10 @@ def _build(num_gpus=2, replicas_per_gpu=2, model="resnet32", policy=SchedulingPo
         policy=policy,
         keep_task_records=True,
     )
-    replicas = []
-    for gpu in server.gpus:
-        for _ in range(replicas_per_gpu):
-            stream = gpu.add_learner_stream()
-            replica = _StubReplica(len(replicas), gpu.gpu_id, stream.stream_id)
-            scheduler.register_replica(replica)
-            replicas.append(replica)
-    return server, scheduler, replicas
+    slots = [
+        scheduler.add_learner(gpu.gpu_id) for gpu in server.gpus for _ in range(replicas_per_gpu)
+    ]
+    return server, scheduler, slots
 
 
 class TestIterationScheduling:
@@ -51,7 +38,7 @@ class TestIterationScheduling:
 
     def test_unknown_stream_rejected(self):
         _, scheduler, _ = _build()
-        bogus = _StubReplica(99, 0, 77)
+        bogus = LearnerSlot(99, 0, 77)
         with pytest.raises(SchedulingError):
             scheduler.schedule_iteration(0, [bogus], batch_size=8)
 
@@ -142,6 +129,29 @@ class TestIterationScheduling:
             return samples / server.now()
 
         assert throughput(4) > 1.5 * throughput(1)
+
+
+class TestLearnerSlots:
+    def test_remove_learner_retires_its_stream_for_the_next_add(self):
+        server, scheduler, slots = _build(num_gpus=2, replicas_per_gpu=2)
+        removed = slots[1]  # the second learner on GPU 0
+        scheduler.remove_learner(removed)
+        assert server.gpu(0).streams[removed.stream_id].kind == "retired"
+        assert len(server.gpu(0).learner_streams()) == 1
+        added = scheduler.add_learner(0)
+        assert added.stream_id == removed.stream_id
+        assert server.gpu(0).streams[added.stream_id].kind == "learner"
+        assert len(server.gpu(0).streams) == len(server.gpu(1).streams)
+
+    def test_learner_ids_are_never_reused(self):
+        _, scheduler, slots = _build(num_gpus=1, replicas_per_gpu=2)
+        scheduler.remove_learner(slots[1])
+        assert scheduler.registered_learner_ids() == [0]
+        added = scheduler.add_learner(0)
+        assert added.learner_id == 2
+        assert scheduler.registered_learner_ids() == [0, 2]
+        scheduler.barrier()  # a barrier does not bring a removed learner back
+        assert scheduler.registered_learner_ids() == [0, 2]
 
 
 class TestSsgdScheduling:

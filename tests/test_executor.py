@@ -9,7 +9,6 @@ from repro.data import AugmentationPipeline, BatchPipeline
 from repro.engine import (
     CrossbowConfig,
     CrossbowTrainer,
-    ModelReplica,
     ReplicaBank,
     SharedMatrix,
     SharedReplicaBank,
@@ -71,14 +70,15 @@ class TestSharedReplicaBank:
         shared = SharedReplicaBank(p, capacity=3)
         plain = ReplicaBank(p, capacity=3)
         try:
-            for bank in (shared, plain):
-                for j in range(3):
-                    bank.attach(ModelReplica(j, model.clone(), gpu_id=0, stream_id=j))
+            models = [model.clone() for _ in range(3)]
+            for owned in models:
+                shared.attach(owned)
+                plain.attach(owned.clone())
             assert shared.active_matrix().shape == plain.active_matrix().shape
             np.testing.assert_array_equal(shared.active_matrix(), plain.active_matrix())
             # Writing through the bank is visible through the module parameters.
             shared.active_matrix()[1] = 42.0
-            assert np.all(shared.owners()[1].model.parameter_vector() == 42.0)
+            assert np.all(models[1].parameter_vector() == 42.0)
         finally:
             shared.close()
 
@@ -87,8 +87,8 @@ class TestSharedReplicaBank:
         bank = SharedReplicaBank(model.num_parameters(), capacity=1)
         try:
             first_generation = bank.generation
-            bank.attach(ModelReplica(0, model.clone(), gpu_id=0, stream_id=0))
-            bank.attach(ModelReplica(1, model.clone(), gpu_id=0, stream_id=1))  # forces grow
+            bank.attach(model.clone())
+            bank.attach(model.clone())  # forces grow
             assert bank.generation > first_generation
             assert len(bank) == 2
         finally:

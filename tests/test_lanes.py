@@ -91,7 +91,7 @@ def _train(config: CrossbowConfig):
         buffers = [
             np.array(buffer, copy=True)
             for learner in trainer.learners
-            for _, buffer in learner.replica.model.named_buffers()
+            for _, buffer in learner.model.named_buffers()
         ]
         return {
             "bank": trainer.replica_bank.active_matrix().copy(),

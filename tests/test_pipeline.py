@@ -197,7 +197,7 @@ class TestPipelinedExecution:
 
                 trainer._pending = _PendingIteration(
                     losses=losses,
-                    replicas=[learner.replica for learner in trainer.learners],
+                    slots=[learner.slot for learner in trainer.learners],
                     update_index=update_index,
                     staleness=staleness,
                 )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.engine import CrossbowConfig, CrossbowTrainer, ModelReplica, ReplicaBank, ReplicaPool
+from repro.engine import CrossbowConfig, CrossbowTrainer, ReplicaBank
 from repro.errors import ConfigurationError, SchedulingError
 from repro.models import create_model
 from repro.optim import EASGD, EASGDConfig, SMA, SMAConfig
@@ -16,8 +18,9 @@ def _model(seed: int = 3):
     return create_model("mlp", rng=RandomState(seed, name="bank-test"))
 
 
-def _replica(replica_id: int = 0, gpu_id: int = 0, stream_id: int = 0, seed: int = 3):
-    return ModelReplica(replica_id, _model(seed), gpu_id, stream_id)
+def _views(model, bank: ReplicaBank, row: int) -> bool:
+    """Whether ``model``'s weights are a view of row ``row`` of the bank."""
+    return np.shares_memory(model.parameter_vector(copy=False), bank.active_matrix()[row])
 
 
 class TestModuleFlatStorage:
@@ -82,19 +85,18 @@ class TestModuleFlatStorage:
 
 class TestReplicaBank:
     def test_attach_makes_row_the_source_of_truth(self):
-        replica = _replica()
-        bank = ReplicaBank(replica.num_parameters(), capacity=2)
-        row = bank.attach(replica)
+        model = _model()
+        bank = ReplicaBank(model.num_parameters(), capacity=2)
+        row = bank.attach(model)
         assert row == 0 and len(bank) == 1
-        assert np.shares_memory(replica.view(), bank.active_matrix())
+        assert _views(model, bank, 0)
         bank.active_matrix()[0] += 2.5
-        np.testing.assert_array_equal(replica.vector(), bank.row_view(0))
+        np.testing.assert_array_equal(model.parameter_vector(), bank.active_matrix()[0])
 
     def test_active_matrix_is_contiguous_view(self):
         bank = ReplicaBank(_model().num_parameters(), capacity=4)
-        replicas = [_replica(i, seed=i + 1) for i in range(3)]
-        for replica in replicas:
-            bank.attach(replica)
+        for i in range(3):
+            bank.attach(_model(seed=i + 1))
         active = bank.active_matrix()
         assert active.shape[0] == 3
         assert active.base is not None  # a view, not a copy
@@ -102,61 +104,82 @@ class TestReplicaBank:
 
     def test_detach_swaps_last_row_into_hole(self):
         bank = ReplicaBank(_model().num_parameters(), capacity=4)
-        replicas = [_replica(i, seed=i + 1) for i in range(3)]
-        for replica in replicas:
-            bank.attach(replica)
-        middle_values = replicas[1].vector()
-        last_values = replicas[2].vector()
-        bank.detach(replicas[1])
+        models = [_model(seed=i + 1) for i in range(3)]
+        for model in models:
+            bank.attach(model)
+        middle_values = models[1].parameter_vector()
+        last_values = models[2].parameter_vector()
+        bank.detach(models[1])
         assert len(bank) == 2
-        assert replicas[1].bank is None and replicas[1].bank_row is None
-        np.testing.assert_array_equal(replicas[1].vector(), middle_values)  # evicted keeps weights
-        assert replicas[2].bank_row == 1
-        np.testing.assert_array_equal(bank.row_view(1), last_values)
-        assert np.shares_memory(replicas[2].view(), bank.active_matrix())
+        assert not models[1].has_attached_storage()
+        # The evicted model keeps its weights.
+        np.testing.assert_array_equal(models[1].parameter_vector(), middle_values)
+        assert _views(models[2], bank, 1)
+        np.testing.assert_array_equal(bank.active_matrix()[1], last_values)
+
+    def test_detach_of_a_model_not_in_the_bank_raises(self):
+        bank = ReplicaBank(_model().num_parameters(), capacity=2)
+        model = _model()
+        bank.attach(model)
+        with pytest.raises(SchedulingError):
+            bank.detach(_model(seed=9))
+        bank.detach(model)
+        with pytest.raises(SchedulingError):
+            bank.detach(model)  # already detached
 
     def test_pack_reorders_rows_to_match_learner_order(self):
         bank = ReplicaBank(_model().num_parameters(), capacity=4)
-        replicas = [_replica(i, seed=i + 1) for i in range(3)]
-        for replica in replicas:
-            bank.attach(replica)
-        values = [replica.vector() for replica in replicas]
-        order = [replicas[2], replicas[0], replicas[1]]
+        models = [_model(seed=i + 1) for i in range(3)]
+        for model in models:
+            bank.attach(model)
+        values = [model.parameter_vector() for model in models]
+        order = [models[2], models[0], models[1]]
         bank.pack(order)
-        for row, replica in enumerate(order):
-            assert replica.bank_row == row
-            np.testing.assert_array_equal(bank.row_view(row), replica.vector())
-            assert np.shares_memory(replica.view(), bank.active_matrix())
-        np.testing.assert_array_equal(bank.row_view(0), values[2])
+        for row, model in enumerate(order):
+            assert _views(model, bank, row)
+            np.testing.assert_array_equal(bank.active_matrix()[row], model.parameter_vector())
+        np.testing.assert_array_equal(bank.active_matrix()[0], values[2])
+
+    def test_pack_in_current_order_keeps_every_view(self):
+        bank = ReplicaBank(_model().num_parameters(), capacity=4)
+        models = [_model(seed=i + 1) for i in range(3)]
+        for model in models:
+            bank.attach(model)
+        views = [model.parameter_vector(copy=False) for model in models]
+        before = bank.active_matrix().copy()
+        bank.pack(list(models))
+        for model, view in zip(models, views):
+            assert model.parameter_vector(copy=False) is view
+        np.testing.assert_array_equal(bank.active_matrix(), before)
 
     def test_pack_rejects_wrong_replica_set(self):
         bank = ReplicaBank(_model().num_parameters(), capacity=2)
-        replica = _replica()
-        bank.attach(replica)
+        model = _model()
+        bank.attach(model)
         with pytest.raises(SchedulingError):
-            bank.pack([replica, _replica(9)])
+            bank.pack([model, _model(9)])
 
     def test_grow_beyond_capacity_preserves_weights_and_views(self):
         bank = ReplicaBank(_model().num_parameters(), capacity=1)
-        first = _replica(0, seed=1)
+        first = _model(seed=1)
         bank.attach(first)
-        first_values = first.vector()
-        second = _replica(1, seed=2)
+        first_values = first.parameter_vector()
+        second = _model(seed=2)
         bank.attach(second)  # forces reallocation
         assert bank.capacity >= 2
-        np.testing.assert_array_equal(bank.row_view(0), first_values)
-        assert np.shares_memory(first.view(), bank.active_matrix())
-        assert np.shares_memory(second.view(), bank.active_matrix())
+        np.testing.assert_array_equal(bank.active_matrix()[0], first_values)
+        assert _views(first, bank, 0)
+        assert _views(second, bank, 1)
 
     def test_attach_rejects_double_attach_and_size_mismatch(self):
-        replica = _replica()
-        bank = ReplicaBank(replica.num_parameters(), capacity=2)
-        bank.attach(replica)
+        model = _model()
+        bank = ReplicaBank(model.num_parameters(), capacity=2)
+        bank.attach(model)
         with pytest.raises(SchedulingError):
-            bank.attach(replica)
+            bank.attach(model)
         small = ReplicaBank(3, capacity=2)
         with pytest.raises(SchedulingError):
-            small.attach(_replica(5))
+            small.attach(_model(5))
 
 
 class TestStepMatrix:
@@ -252,43 +275,6 @@ class TestStepMatrix:
             easgd.step_matrix(rows)
 
 
-class TestReplicaPoolLocked:
-    def test_locked_blocks_checkout_but_allows_resize(self):
-        pool = ReplicaPool()
-        pool.add(_model(), 0, 0)
-        with pool.locked():
-            with pytest.raises(SchedulingError):
-                pool.acquire()
-            added = pool.add(_model(), 0, 1)
-            assert pool.remove_last_on_gpu(0).replica_id == added.replica_id
-        pool.acquire()  # unlocked again
-
-    def test_locked_releases_on_exception(self):
-        pool = ReplicaPool()
-        pool.add(_model(), 0, 0)
-        with pytest.raises(RuntimeError):
-            with pool.locked():
-                raise RuntimeError("resize failed")
-        pool.acquire()  # the lock must not leak
-
-    def test_locked_rejects_reentry(self):
-        pool = ReplicaPool()
-        with pool.locked():
-            with pytest.raises(SchedulingError):
-                with pool.locked():
-                    pass
-
-    def test_plain_lock_still_rejects_all_mutation(self):
-        pool = ReplicaPool()
-        pool.add(_model(), 0, 0)
-        pool.lock()
-        with pytest.raises(SchedulingError):
-            pool.add(_model(), 0, 1)
-        with pytest.raises(SchedulingError):
-            pool.remove_last_on_gpu(0)
-        pool.unlock()
-
-
 class TestAutoTunerResizeCycles:
     def _trainer(self, **overrides):
         base = dict(
@@ -306,37 +292,68 @@ class TestAutoTunerResizeCycles:
         return CrossbowTrainer(CrossbowConfig(**base))
 
     def _assert_consistent(self, trainer):
-        active_ids = sorted(l.replica.replica_id for l in trainer.learners)
-        assert sorted(trainer.replica_pool.all_replicas(), key=lambda r: r.replica_id) == sorted(
-            (l.replica for l in trainer.learners), key=lambda r: r.replica_id
-        )
-        # Scheduler tracks exactly the active replicas — no stale entries.
-        assert trainer.scheduler.registered_replica_ids() == active_ids
+        active_ids = sorted(learner.slot.learner_id for learner in trainer.learners)
+        assert len(set(active_ids)) == len(active_ids)
+        # Scheduler tracks exactly the active learners — no stale entries.
+        assert trainer.scheduler.registered_learner_ids() == active_ids
         # Bank rows are dense, in learner order, and are the live weights.
         assert len(trainer.replica_bank) == len(trainer.learners)
         for row, learner in enumerate(trainer.learners):
-            assert learner.replica.bank_row == row
-            assert np.shares_memory(
-                learner.replica.view(), trainer.replica_bank.active_matrix()
-            )
+            assert _views(learner.model, trainer.replica_bank, row)
         assert trainer.synchroniser.num_replicas == len(trainer.learners)
 
     def test_grow_shrink_grow_cycle(self):
         trainer = self._trainer()
-        assert len(trainer.replica_pool) == 2
+        assert len(trainer.learners) == 2
         self._assert_consistent(trainer)
 
         trainer._grow_learners()
-        assert len(trainer.replica_pool) == 4
+        assert len(trainer.learners) == 4
         self._assert_consistent(trainer)
 
         trainer._shrink_learners()
-        assert len(trainer.replica_pool) == 2
+        assert len(trainer.learners) == 2
         self._assert_consistent(trainer)
 
         trainer._grow_learners()
-        assert len(trainer.replica_pool) == 4
+        assert len(trainer.learners) == 4
         self._assert_consistent(trainer)
+
+    def test_shrink_removes_the_last_added_learner_on_each_gpu(self):
+        trainer = self._trainer()
+        trainer._grow_learners()
+        trainer._grow_learners()
+        # Learners in the order added: ids 0-1, then 2-3, then 4-5 (GPU 0, GPU 1).
+        assert [learner.slot.gpu_id for learner in trainer.learners] == [0, 1] * 3
+        trainer._shrink_learners()
+        assert [learner.slot.learner_id for learner in trainer.learners] == [0, 1, 2, 3]
+        trainer._shrink_learners()
+        assert [learner.slot.learner_id for learner in trainer.learners] == [0, 1]
+
+    def test_learner_ids_are_never_reused(self):
+        trainer = self._trainer()
+        trainer._grow_learners()
+        trainer._shrink_learners()
+        trainer._grow_learners()
+        assert [learner.slot.learner_id for learner in trainer.learners] == [0, 1, 4, 5]
+        assert trainer.scheduler.registered_learner_ids() == [0, 1, 4, 5]
+
+    def test_traced_task_names_carry_the_learner_id(self):
+        trainer = self._trainer(trace_tasks=True)
+        trainer._grow_learners()
+        trainer._shrink_learners()
+        trainer._grow_learners()
+        trainer.server.tracer.clear()
+        trainer._train_epoch(epoch=0)
+        slots = {learner.slot.learner_id: learner.slot for learner in trainer.learners}
+        named = set()
+        for event in trainer.server.tracer.by_kind("learning"):
+            match = re.fullmatch(r"learn\[i=\d+,r=(\d+)\]", event.name)
+            assert match is not None, event.name
+            slot = slots[int(match.group(1))]
+            assert (event.gpu_id, event.stream_id) == (slot.gpu_id, slot.stream_id)
+            named.add(slot.learner_id)
+        assert named == {0, 1, 4, 5}
 
     def test_oscillation_reuses_gpu_streams(self):
         trainer = self._trainer()
@@ -370,7 +387,7 @@ class TestAutoTunerResizeCycles:
         count_before = len(trainer.learners)
         trainer._grow_learners()
         for learner in trainer.learners[count_before:]:
-            np.testing.assert_allclose(learner.replica.vector(), center, atol=1e-7)
+            np.testing.assert_allclose(learner.model.parameter_vector(), center, atol=1e-7)
         # The engine keeps training correctly after the resize.
         result_loss = trainer._train_epoch(epoch=1)
         assert np.isfinite(result_loss)
@@ -385,3 +402,27 @@ class TestAutoTunerResizeCycles:
         )
         trainer.train()
         self._assert_consistent(trainer)
+
+    def test_restarts_survive_a_grow(self):
+        trainer = self._trainer()
+        trainer.synchroniser.restart()
+        trainer._grow_learners()
+        assert trainer.synchroniser.restarts == 1
+
+    @pytest.mark.parametrize("synchronisation", ["sma", "easgd"])
+    def test_center_weight_is_one_over_k_after_a_grow(self, synchronisation):
+        trainer = self._trainer(synchronisation=synchronisation)
+        attribute = "alpha" if synchronisation == "sma" else "elasticity"
+        assert getattr(trainer.synchroniser, attribute) == 1.0 / 2
+        trainer._grow_learners()
+        assert getattr(trainer.synchroniser, attribute) == 1.0 / 4
+
+    def test_easgd_resize_preserves_center_bit_exact(self):
+        trainer = self._trainer(synchronisation="easgd")
+        trainer.train()
+        for resize in (trainer._grow_learners, trainer._shrink_learners):
+            before = trainer.central_model_vector()
+            iteration_before = trainer.synchroniser.iteration
+            resize()
+            np.testing.assert_array_equal(trainer.central_model_vector(), before)
+            assert trainer.synchroniser.iteration == iteration_before
