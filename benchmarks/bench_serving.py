@@ -119,12 +119,17 @@ def serve_workload(
     server = InferenceServer(
         model, max_batch_size=max_batch_size, max_latency_ms=MAX_LATENCY_MS
     )
+    # The clients start together: started one by one, the first ~10 batches
+    # of the batched arm ramp from 1 to 32 rows while threads come up, a
+    # third of a 512-request window, and the speed-up swung with that ramp.
+    start = threading.Barrier(num_clients + 1, timeout=120.0)
     with server:
         # Warm the forward pass so the timed window measures steady state.
         server.predict(samples[0])
 
         def client(j: int) -> None:
             try:
+                start.wait()
                 for _ in range(requests_per_client):
                     server.predict(samples[j], timeout=120.0)
             except BaseException as exc:  # noqa: BLE001 - surfaced to the main thread
@@ -134,9 +139,10 @@ def serve_workload(
             threading.Thread(target=client, args=(j,), name=f"client-{j}")
             for j in range(num_clients)
         ]
-        started = time.perf_counter()
         for thread in threads:
             thread.start()
+        start.wait()
+        started = time.perf_counter()
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - started

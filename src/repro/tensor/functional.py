@@ -155,6 +155,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _MatMul.apply(a, b)
 
 
+#: A batch of at most ``fan_out / 16`` rows is multiplied weight first.  The
+#: constant comes from ``benchmarks/bench_linear_orientation.py``'s sweep (BLAS
+#: on one thread): on the wide MLP's layers ``W @ x.T`` runs 1.3-2.2x faster at
+#: 2-32 rows, is level or ahead at 64, and loses from 128 rows on the 256-wide
+#: input layer and at every row count on 10-wide heads.
+_WEIGHT_FIRST_ROWS_PER_OUTPUT = 16
+
+
+def _weight_first(rows: int, fan_out: int) -> bool:
+    """Whether a ``rows``-row batch into ``fan_out`` outputs takes ``W @ x.T``."""
+    return rows * _WEIGHT_FIRST_ROWS_PER_OUTPUT <= fan_out
+
+
 class _LinearProduct(Function):
     """``x @ W.T`` with the weight gradient in ``W``'s own layout.
 
@@ -163,18 +176,33 @@ class _LinearProduct(Function):
     into the replica bank is a cache-hostile transposed copy.  ``grad.T @ x``
     holds the same dot products over the batch, laid out C-contiguous in
     ``(out, in)``, so the gather is a memcpy.  Any leading dimensions of
-    ``x`` are folded into that batch.  The two forms hand BLAS opposite
-    transpose flags.  Their floats match on the OpenBLAS that NumPy 2.4's
-    wheels bundle (the tests compare them exactly), but that is observed,
-    not guaranteed: another BLAS build or CPU may order the batch sum
-    differently.
+    ``x`` are folded into that batch.
+
+    The forward picks which operand BLAS sees first.  When the batch is
+    narrow against the layer (``rows * 16 <= fan_out``, see
+    :func:`_weight_first`) it computes ``(W @ x.T).T``, which OpenBLAS runs
+    up to twice as fast at 2-32 rows, and copies it back to C order: left
+    F-ordered, the transposed result would hand the next layers other BLAS
+    flags.  Wider batches and narrow heads keep ``x @ W.T``.  ``rows`` is
+    ``x.shape[-2]``: NumPy multiplies a stacked input one leading index at a
+    time, and both forms keep that stacking, because folding single-row
+    slices into one product changes their floats.  The backward keeps one
+    form at every shape.
+
+    The forms hand BLAS opposite transpose flags.  Their floats match on the
+    OpenBLAS that NumPy 2.4's wheels bundle (the tests compare them
+    exactly), but that is observed, not guaranteed: another BLAS build or
+    CPU may order the sums differently.
     """
 
     def forward(self, x, weight):
         if x.ndim < 1 or weight.ndim != 2:
             raise ShapeError("linear requires an input of at least 1-d and a 2-d weight")
         self.save_for_backward(x, weight)
-        return x @ weight.T
+        if x.ndim < 2 or not _weight_first(x.shape[-2], weight.shape[0]):
+            return x @ weight.T
+        product = weight @ np.swapaxes(x, -1, -2)
+        return np.ascontiguousarray(np.swapaxes(product, -1, -2))
 
     def backward(self, grad):
         x, weight = self.saved

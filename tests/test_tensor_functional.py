@@ -371,6 +371,100 @@ class TestLinearProduct:
             F.linear(_leaf((4, 5)), _leaf((5,)))
 
 
+class _TransposedProduct(F._LinearProduct):
+    """``_LinearProduct`` with ``x @ W.T`` as its only forward: the reference."""
+
+    def forward(self, x, weight):
+        self.save_for_backward(x, weight)
+        return x @ weight.T
+
+
+def _forward_form(rows, fan_in, fan_out):
+    """``"weight-first"`` or ``"x @ W.T"``: which product ``F.linear`` runs at this shape."""
+    weight_first = []
+
+    class OperandSpy(np.ndarray):
+        """A weight that records, for each matmul it enters, whether it came first."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            assert ufunc is np.matmul
+            weight_first.append(isinstance(inputs[0], OperandSpy))
+            return ufunc(*(np.asarray(array) for array in inputs), **kwargs)
+
+    weight = rng.normal(size=(fan_out, fan_in)).astype(np.float32).view(OperandSpy)
+    x = rng.normal(size=(rows, fan_in)).astype(np.float32)
+    out = F._LinearProduct().forward(x, weight)
+    assert type(out) is np.ndarray and out.shape == (rows, fan_out)
+    (first,) = weight_first
+    return "weight-first" if first else "x @ W.T"
+
+
+class TestLinearOrientation:
+    """The forward's choice of operand order (``F._weight_first``) changes no float.
+
+    Equality is observed on the pinned OpenBLAS 0.3.31 bundled with NumPy
+    2.4's wheels, with BLAS on one thread or unpinned, as CI runs this file;
+    the two orders hand BLAS opposite transpose flags, so another BLAS build
+    or CPU may sum in another order.
+    """
+
+    LAYERS = [(256, 1024), (1024, 1024), (1024, 512), (512, 10), (64, 10)]
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 8, 16, 32, 64, 256])
+    @pytest.mark.parametrize("fan_in,fan_out", LAYERS, ids=[f"{i}x{o}" for i, o in LAYERS])
+    def test_forward_and_backward_equal_the_transposed_product(self, fan_in, fan_out, rows, ndim):
+        lead = (rows,) if ndim == 2 else ((2, rows // 2) if rows % 2 == 0 else (1, rows))
+        x_data = rng.normal(size=lead + (fan_in,)).astype(np.float32)
+        w_data = rng.normal(size=(fan_out, fan_in)).astype(np.float32)
+        b_data = rng.normal(size=(fan_out,)).astype(np.float32)
+        grad_out = rng.normal(size=lead + (fan_out,)).astype(np.float32)
+
+        def run(product):
+            x = Tensor(x_data, requires_grad=True)
+            w, b = Tensor(w_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+            # The ReLU makes the gradients depend on the forward's floats.
+            out = F.relu(F.add(product.apply(x, w), b))
+            out.backward(grad_out)
+            return out.data, x.grad, w.grad, b.grad
+
+        for fresh, reference in zip(run(F._LinearProduct), run(_TransposedProduct)):
+            np.testing.assert_array_equal(fresh, reference)
+
+    @pytest.mark.parametrize(
+        "shape,fan_out",
+        [((4, 512), 512), ((2, 16, 1024), 1024), ((256, 1024), 1024), ((16, 10), 10)],
+    )
+    def test_output_is_c_contiguous_on_both_sides_of_the_rule(self, shape, fan_out):
+        x = rng.normal(size=shape).astype(np.float32)
+        weight = rng.normal(size=(fan_out, shape[-1])).astype(np.float32)
+        out = F._LinearProduct().forward(x, weight)
+        assert out.shape == shape[:-1] + (fan_out,)
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "rows,fan_in,fan_out,form",
+        [
+            (32, 1024, 1024, "weight-first"),
+            (32, 256, 1024, "weight-first"),
+            (4, 1024, 512, "weight-first"),
+            (64, 1024, 1024, "weight-first"),
+            (65, 1024, 1024, "x @ W.T"),
+            (256, 1024, 1024, "x @ W.T"),
+            (33, 1024, 512, "x @ W.T"),
+            (16, 512, 10, "x @ W.T"),
+            (1, 64, 10, "x @ W.T"),
+        ],
+    )
+    def test_the_rule_picks_the_sweeps_faster_form(self, rows, fan_in, fan_out, form):
+        """``bench_linear_orientation.py`` puts the crossover at ``fan_out / 16`` rows."""
+        assert _forward_form(rows, fan_in, fan_out) == form
+
+    def test_a_mismatched_input_still_raises(self):
+        with pytest.raises(ValueError):
+            F.linear(_leaf((2, 6)), _leaf((1024, 5)))
+
+
 def test_conv_lowering_has_no_scatter_ufunc_and_no_einsum_path_search():
     """ROADMAP item 1's counted witness: ``np.add.at`` (the unbuffered scatter)
     and ``einsum(..., optimize=...)`` (a contraction-path search per call) must
