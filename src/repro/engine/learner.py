@@ -19,7 +19,7 @@ import contextlib
 import os
 import queue
 import threading
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,13 @@ def usable_cpus() -> List[int]:
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
     return list(range(os.cpu_count() or 1))
+
+
+def pin_thread(cpus: Iterable[int]) -> None:
+    """Restrict the calling thread to ``cpus``; a no-op where that cannot be set."""
+    if hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(threading.get_native_id(), set(cpus))
 
 
 def blas_threads(cores: int) -> int:
@@ -116,9 +123,7 @@ class _HelperLane:
 
     def _serve(self, cpu: int) -> None:
         # Unpinned, the scheduler kept helper and caller on one CPU.
-        if hasattr(os, "sched_setaffinity"):
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(threading.get_native_id(), {cpu})
+        pin_thread({cpu})
         while True:
             job = self._jobs.get()
             if job is None:

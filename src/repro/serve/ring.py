@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Typ
 import numpy as np
 
 from repro.engine.executor import ForkedWorkerPool, SharedMatrix, _ProcessHandle
+from repro.engine.learner import pin_thread
 from repro.errors import ConfigurationError, SchedulingError
 from repro.telemetry.recorder import get_recorder
 from repro.utils.logging import get_logger
@@ -253,9 +254,11 @@ class SlotRing:
             shared.close()
 
 
-#: what one ring worker needs — ``(ring, load, compute, results queue)`` —
-#: inherited via fork, never pickled
-_RingWorkerState = Tuple[SlotRing, Callable[[int], Any], Callable[[Any], Any], Any]
+#: what one ring worker needs — ``(ring, load, compute, results queue, CPUs
+#: to pin itself to or None)`` — inherited via fork, never pickled
+_RingWorkerState = Tuple[
+    SlotRing, Callable[[int], Any], Callable[[Any], Any], Any, Optional[List[int]]
+]
 
 
 def _ring_worker_main(state: _RingWorkerState) -> None:
@@ -267,7 +270,9 @@ def _ring_worker_main(state: _RingWorkerState) -> None:
     forwarded as ``(ticket, None, traceback)`` result payloads; the worker
     keeps serving subsequent slots so one bad payload doesn't idle the pool.
     """
-    ring, load, compute, results = state
+    ring, load, compute, results, cpus = state
+    if cpus is not None:
+        pin_thread(cpus)
     for slot, ticket in ring.claims():
         try:
             with ring.reading(slot):
@@ -290,7 +295,8 @@ class RingPool(ForkedWorkerPool):
     (the R3 fork-safety hazard); :meth:`resize` moves the *active* count
     anywhere in ``[1, max_workers]`` by parking/resuming workers in place.
     :meth:`_publish` blocks (backpressure) when every slot is occupied, which
-    bounds parent-side memory at ``num_slots`` payload rows.
+    bounds parent-side memory at ``num_slots`` payload rows.  Given
+    ``worker_cpus``, every worker pins itself to those CPUs as it starts.
     """
 
     # Per-pool constants, set by each concrete pool as class attributes.
@@ -310,6 +316,7 @@ class RingPool(ForkedWorkerPool):
         workers: int,
         max_workers: int,
         num_slots: int,
+        worker_cpus: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__()
         self.num_slots = num_slots
@@ -317,7 +324,8 @@ class RingPool(ForkedWorkerPool):
         self._ring = SlotRing(self._ctx, num_slots, payload)
         #: the ring's ``[state, ticket]`` matrix (tests assert it drains to EMPTY)
         self._meta = self._ring.meta
-        state: _RingWorkerState = (self._ring, load, compute, self._results)
+        cpus = None if worker_cpus is None else list(worker_cpus)
+        state: _RingWorkerState = (self._ring, load, compute, self._results, cpus)
         for worker_id in range(max_workers):
             process = self._fork(_ring_worker_main, state, name=f"{self.role}-worker-{worker_id}")
             self._handles.append(_ProcessHandle(process=process))

@@ -40,7 +40,7 @@ from repro.models import create_model
 from repro.nn.module import Module
 from repro.scenarios import FlashCrowdTrace, ScenarioRunner, SlowDrainTrace, SLOSpec
 from repro.serve import InferenceServer, PooledInferenceServer, ServeCounters
-from repro.serve.scaling import InferencePool, ServingAutoTuner, autoscale_step
+from repro.serve.scaling import InferencePool, ServingAutoTuner, autoscale_step, process_cpus
 from repro.telemetry.queries import load_signal
 from repro.telemetry.recorder import Recorder, get_recorder, set_recorder
 from repro.telemetry.store import TelemetryStore
@@ -565,6 +565,54 @@ class TestPooledInferenceServer:
             result = server.predict(big)
             server.stop()
         assert result.shape == (5, 4)
+
+
+# ------------------------------------------------------------------------ placement
+def _settled_affinity(pid: int, expected: set, timeout_s: float = 10.0) -> set:
+    """``pid``'s CPU mask once it equals ``expected`` (a worker pins itself as
+    it starts), or whatever it is when ``timeout_s`` runs out."""
+    deadline = time.monotonic() + timeout_s
+    while os.sched_getaffinity(pid) != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.sched_getaffinity(pid)
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+class TestPlacement:
+    """The serving loop keeps the first CPU; the pool's workers share the rest."""
+
+    def test_workers_keep_off_the_loops_cpu(self):
+        cpus = process_cpus()
+        with InferencePool(_model(), sample_shape=(INPUT_DIM,), workers=1, max_workers=2) as pool:
+            if len(cpus) > 1:
+                assert pool.driver_cpus == cpus[:1]
+                expected = set(cpus[1:])
+            else:
+                assert pool.driver_cpus is None
+                expected = set(cpus)
+            for process in pool._processes():  # the parked worker too
+                assert _settled_affinity(process.pid, expected) == expected
+
+    def test_a_recovery_forked_by_the_pinned_loop_keeps_off_its_cpu(self):
+        cpus = process_cpus()
+        if len(cpus) < 2:
+            pytest.skip("one CPU: nothing to split")
+        sample = np.zeros((1, INPUT_DIM), dtype=np.float32)
+        with PooledInferenceServer(
+            _model(), sample_shape=(INPUT_DIM,), workers=1, max_batch_size=1
+        ) as server:
+            server.predict(sample)
+            assert os.sched_getaffinity(server._thread.native_id) == {cpus[0]}
+            for victim in server._pool._processes():
+                victim.kill()
+                victim.join(timeout=10.0)
+            server.predict(sample, timeout=30.0)  # served by the loop's replacement pool
+            assert server.recoveries == 1
+            for process in server._pool._processes():
+                assert _settled_affinity(process.pid, set(cpus[1:])) == set(cpus[1:])
+            server.stop()
+        assert os.sched_getaffinity(0) == set(cpus)  # the caller's thread stays unpinned
 
 
 # -------------------------------------------------------- the closed control loop
