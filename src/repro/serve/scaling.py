@@ -173,13 +173,15 @@ class InferencePool(RingPool):
             with no_grad():
                 return np.asarray(model(Tensor(images)).data)
 
-        # The thread that feeds the ring keeps the first CPU and the workers
-        # share the rest.  Left to the scheduler, loop and worker were stacked
-        # on one CPU for seconds at a time, and a 2-core host then served at
-        # one CPU's speed, ~25 % under its saturation rate.
+        # With a CPU to spare beside the workers active at start, the thread
+        # that feeds the ring keeps the first CPU and the workers share the
+        # rest.  Left to the scheduler, loop and worker were stacked on one
+        # CPU for seconds at a time, and a 2-core host then served at one
+        # CPU's speed, ~25 % under its saturation rate.
         cpus = process_cpus()
-        #: the CPUs for the thread that feeds the ring (``None``: one CPU, no split)
-        self.driver_cpus: Optional[List[int]] = cpus[:1] if len(cpus) > 1 else None
+        spare = len(cpus) > workers
+        #: the CPUs for the thread that feeds the ring (``None``: no CPU to spare)
+        self.driver_cpus: Optional[List[int]] = cpus[:1] if spare else None
         super().__init__(
             [self._requests, self._sizes],
             load,
@@ -187,7 +189,7 @@ class InferencePool(RingPool):
             workers,
             max_workers,
             num_slots,
-            worker_cpus=cpus[1:] or cpus,
+            worker_cpus=cpus[1:] if spare else cpus,
         )
 
     # -- publish side --------------------------------------------------------------------
@@ -262,8 +264,9 @@ class PooledInferenceServer(InferenceServer):
     fixed snapshot; there is no between-batch hot swap (pass ``checkpoint=``
     for the version to serve).  ``resize_workers`` may be called from a
     control thread while the server runs; publishing and draining stay on
-    the serving thread, which pins itself to the pool's ``driver_cpus`` (the
-    process's first CPU) while the workers run on the rest.
+    the serving thread.  When the process has more CPUs than ``workers``,
+    that thread pins itself to the pool's ``driver_cpus`` (the first CPU)
+    and the workers run on the rest.
     """
 
     def __init__(

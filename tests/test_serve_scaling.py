@@ -580,18 +580,22 @@ def _settled_affinity(pid: int, expected: set, timeout_s: float = 10.0) -> set:
 @needs_fork
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
 class TestPlacement:
-    """The serving loop keeps the first CPU; the pool's workers share the rest."""
+    """With a CPU to spare, the serving loop keeps the first; the workers share the rest."""
 
-    def test_workers_keep_off_the_loops_cpu(self):
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_workers_keep_off_the_loops_cpu_when_one_is_spare(self, monkeypatch, spare):
         cpus = process_cpus()
-        with InferencePool(_model(), sample_shape=(INPUT_DIM,), workers=1, max_workers=2) as pool:
-            if len(cpus) > 1:
-                assert pool.driver_cpus == cpus[:1]
-                expected = set(cpus[1:])
-            else:
-                assert pool.driver_cpus is None
-                expected = set(cpus)
-            for process in pool._processes():  # the parked worker too
+        if len(cpus) < 2:
+            pytest.skip("one CPU: nothing to split")
+        two = cpus[:2]
+        monkeypatch.setattr("repro.serve.scaling.process_cpus", lambda: two)
+        workers = 1 if spare else 2
+        with InferencePool(
+            _model(), sample_shape=(INPUT_DIM,), workers=workers, max_workers=2
+        ) as pool:
+            assert pool.driver_cpus == (two[:1] if spare else None)
+            expected = set(two[1:] if spare else two)
+            for process in pool._processes():  # a parked worker too
                 assert _settled_affinity(process.pid, expected) == expected
 
     def test_a_recovery_forked_by_the_pinned_loop_keeps_off_its_cpu(self):
